@@ -18,20 +18,16 @@
 use crate::{Certainty, FitError, Result, SearchBudget};
 use cqfit_data::{Example, LabeledExamples, Schema};
 use cqfit_duality::{check_relativized_duality, frontier_examples, FrontierError};
-use cqfit_hom::{any_hom_exists_batch, hom_exists_cross, product_of};
+use cqfit_hom::{hom_exists, hom_exists_cross, product_of};
 use cqfit_query::Cq;
 use std::sync::Arc;
 
-/// True if the example maps homomorphically into *some* negative example;
-/// the independent checks run in parallel.
+/// True if the example maps homomorphically into *some* negative example.
 fn maps_into_some_negative(e: &Example, examples: &LabeledExamples) -> bool {
-    let pairs: Vec<(&Example, &Example)> =
-        examples.negatives().iter().map(|neg| (e, neg)).collect();
-    any_hom_exists_batch(&pairs)
+    examples.negatives().iter().any(|neg| hom_exists(e, neg))
 }
 
 /// For each source, whether it maps homomorphically into *some* target.
-/// The full cross product of checks runs as one parallel batch.
 fn cross_product_hom_flags(srcs: &[Example], dsts: &[Example]) -> Vec<bool> {
     let src_refs: Vec<&Example> = srcs.iter().collect();
     let dst_refs: Vec<&Example> = dsts.iter().collect();
@@ -72,8 +68,8 @@ pub fn verify_fitting(q: &Cq, examples: &LabeledExamples) -> Result<bool> {
 /// Does *some* CQ fit the examples?  (Existence problem, Theorem 3.2.)
 ///
 /// By Theorem 3.3 this holds iff `Π E⁺` is a data example that does not map
-/// homomorphically into any negative example.  The per-negative checks are
-/// independent and fanned across threads ([`any_hom_exists_batch`]).
+/// homomorphically into any negative example; the per-negative checks stop
+/// at the first negative that admits a homomorphism.
 pub fn fitting_exists(examples: &LabeledExamples) -> Result<bool> {
     let product = product_of_positives(examples)?;
     if !product.is_data_example() {
@@ -168,9 +164,7 @@ fn generalize(q: &Cq, examples: &LabeledExamples) -> Result<GeneralizeStep> {
         Err(e) => return Err(e.into()),
     };
     // A frontier member "fails" for weak most-generality exactly if it does
-    // not map into any negative example (Proposition 3.11).  All member ×
-    // negative checks are independent: run the whole cross product as one
-    // parallel batch.
+    // not map into any negative example (Proposition 3.11).
     let maps_to_negative = cross_product_hom_flags(&members, examples.negatives());
     let mut failing_safe = Vec::new();
     let mut failing_unsafe = 0usize;
@@ -214,8 +208,7 @@ pub fn verify_weakly_most_general(q: &Cq, examples: &LabeledExamples) -> Result<
         Err(FrontierError::RequiresUnp) => return Err(FitError::RequiresUnp),
         Err(e) => return Err(e.into()),
     };
-    // Member-level short-circuit (the first failing member settles the
-    // answer); the per-member negative checks still run as a parallel batch.
+    // The first failing member settles the answer.
     Ok(members.iter().all(|m| maps_into_some_negative(m, examples)))
 }
 

@@ -34,7 +34,7 @@
 
 use crate::{FitError, Result};
 use cqfit_data::{Example, LabeledExamples, Schema};
-use cqfit_hom::{any_hom_exists_batch, direct_product, product_of, HomCache};
+use cqfit_hom::{direct_product, hom_exists, product_of, HomCache};
 use cqfit_query::{Cq, Ucq};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -317,7 +317,7 @@ impl IncrementalFitting {
             self.negatives.values().map(|neg| (e, neg)).collect();
         match cache {
             Some(c) => c.any_hom_exists(&pairs),
-            None => any_hom_exists_batch(&pairs),
+            None => pairs.iter().any(|&(s, d)| hom_exists(s, d)),
         }
     }
 
@@ -389,7 +389,7 @@ impl IncrementalFitting {
             .collect();
         Ok(match cache {
             Some(c) => !c.any_hom_exists(&pairs),
-            None => !any_hom_exists_batch(&pairs),
+            None => !pairs.iter().any(|&(s, d)| hom_exists(s, d)),
         })
     }
 

@@ -19,7 +19,7 @@
 use crate::{Certainty, FitError, Result, SearchBudget};
 use cqfit_data::{Example, LabeledExamples};
 use cqfit_duality::check_hom_duality;
-use cqfit_hom::any_hom_exists_batch;
+use cqfit_hom::hom_exists;
 use cqfit_query::Ucq;
 
 /// Does the UCQ fit the examples?  (Verification problem, Theorem 4.6(3).)
@@ -40,18 +40,16 @@ pub fn verify_fitting(q: &Ucq, examples: &LabeledExamples) -> Result<bool> {
 /// exists iff a fitting CQ exists (a single disjunct suffices), which is
 /// delegated to [`crate::cq::fitting_exists`].
 ///
-/// The `|E⁺| × |E⁻|` separation checks are independent, so they run as one
-/// parallel batch with early exit ([`any_hom_exists_batch`]).
+/// The `|E⁺| × |E⁻|` separation checks stop at the first positive that
+/// maps into a negative.
 pub fn fitting_exists(examples: &LabeledExamples) -> Result<bool> {
     if examples.positives().is_empty() {
         return crate::cq::fitting_exists(examples);
     }
-    let pairs: Vec<(&Example, &Example)> = examples
+    Ok(!examples
         .positives()
         .iter()
-        .flat_map(|pos| examples.negatives().iter().map(move |neg| (pos, neg)))
-        .collect();
-    Ok(!any_hom_exists_batch(&pairs))
+        .any(|pos| examples.negatives().iter().any(|neg| hom_exists(pos, neg))))
 }
 
 /// Constructs the most-specific fitting UCQ `⋃_{e ∈ E⁺} q_e` if a fitting UCQ

@@ -19,9 +19,7 @@
 
 use crate::frontier_examples;
 use cqfit_data::{Example, Instance, Schema, Value};
-use cqfit_hom::{
-    core_of, direct_product, hom_exists, hom_exists_batch, hom_exists_cross, simulates, CrossFlags,
-};
+use cqfit_hom::{core_of, direct_product, hom_exists, simulates};
 use cqfit_query::{is_c_acyclic_example, Cq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,31 +159,6 @@ fn below(mode: Mode, src: &Example, dst: &Example) -> bool {
     }
 }
 
-/// Batched pre-order tests: in homomorphism mode the independent checks fan
-/// across threads ([`hom_exists_batch`]); simulation checks stay sequential.
-/// The result is positionally identical to mapping [`below`] over `pairs`.
-fn below_batch(mode: Mode, pairs: &[(&Example, &Example)]) -> Vec<bool> {
-    match mode {
-        Mode::Homomorphism => hom_exists_batch(pairs),
-        Mode::Simulation => pairs.iter().map(|(s, d)| below(mode, s, d)).collect(),
-    }
-}
-
-/// Batched pre-order cross product (rows = `srcs`), mode-aware like
-/// [`below_batch`]; row/column decoding lives in [`CrossFlags`].
-fn below_cross(mode: Mode, srcs: &[&Example], dsts: &[&Example]) -> CrossFlags {
-    match mode {
-        Mode::Homomorphism => hom_exists_cross(srcs, dsts),
-        Mode::Simulation => {
-            let flags = srcs
-                .iter()
-                .flat_map(|&s| dsts.iter().map(move |&d| below(mode, s, d)))
-                .collect();
-            CrossFlags::from_flags(flags, dsts.len())
-        }
-    }
-}
-
 fn check_duality_impl(
     f: &[Example],
     d: &[Example],
@@ -226,26 +199,14 @@ fn check_duality_impl(
     }
 
     // Necessary condition 2: no f may lie below a d (restricted, in the
-    // relativized case, to f below p).  Both the relevance filter and the
-    // `f × d` cross product are independent checks, batched per stage.
-    let relevant: Vec<bool> = match p {
-        Some(p) => {
-            let pairs: Vec<(&Example, &Example)> = f.iter().map(|fe| (fe, p)).collect();
-            below_batch(mode, &pairs)
-        }
-        None => vec![true; f.len()],
-    };
-    let relevant_f: Vec<&Example> = f
+    // relativized case, to f below p).
+    let below_some_d = f
         .iter()
-        .zip(&relevant)
-        .filter(|&(_fe, &r)| r)
-        .map(|(fe, _r)| fe)
-        .collect();
-    let d_refs: Vec<&Example> = d.iter().collect();
-    if let Some((row, _col)) = below_cross(mode, &relevant_f, &d_refs).first_true() {
+        .find(|&fe| p.is_none_or(|p| below(mode, fe, p)) && d.iter().any(|de| below(mode, fe, de)));
+    if let Some(fe) = below_some_d {
         return DualityOutcome::no(
             "a left-hand side example maps below a right-hand side example",
-            Some(relevant_f[row].clone()),
+            Some(fe.clone()),
         );
     }
 
@@ -319,45 +280,19 @@ fn check_duality_impl(
         }
     }
 
-    // Evaluate the duality equation on every candidate.  Each stage is a
-    // family of independent pre-order checks, so the relativizer filter and
-    // the two cross products against F and D each run as one parallel batch;
-    // the final scan preserves candidate order, so the reported
-    // counterexample is the same one the sequential loop would find.
-    let data_candidates: Vec<&Example> =
-        candidates.iter().filter(|e| e.is_data_example()).collect();
-    let eligible: Vec<&Example> = match p {
-        Some(p) => {
-            let pairs: Vec<(&Example, &Example)> =
-                data_candidates.iter().map(|&e| (e, p)).collect();
-            let keep = below_batch(mode, &pairs);
-            data_candidates
-                .into_iter()
-                .zip(keep)
-                .filter(|&(_e, k)| k)
-                .map(|(e, _k)| e)
-                .collect()
-        }
-        None => data_candidates,
-    };
-    let f_refs: Vec<&Example> = f.iter().collect();
-    // Process candidates in bounded chunks: each chunk's checks run as one
-    // parallel batch, and a counterexample found in an early chunk skips the
-    // remaining chunks entirely (bounding the work past a sequential early
-    // exit to one chunk).  Above: rows = left-hand sides, so per-candidate
-    // answers read columns; below: rows = candidates.
-    const CANDIDATE_CHUNK: usize = 32;
-    for chunk in eligible.chunks(CANDIDATE_CHUNK) {
-        let above = below_cross(mode, &f_refs, chunk);
-        let below_m = below_cross(mode, chunk, &d_refs);
-        for (i, e) in chunk.iter().enumerate() {
-            if !above.any_in_col(i) && !below_m.any_in_row(i) {
-                return DualityOutcome::no(
-                    "found a data example that is neither above the left-hand side nor below the right-hand side",
-                    Some((*e).clone()),
-                );
-            }
-        }
+    // Evaluate the duality equation on every candidate, in order, so the
+    // reported counterexample is the first one found.
+    let counterexample = candidates.iter().find(|&e| {
+        e.is_data_example()
+            && p.is_none_or(|p| below(mode, e, p))
+            && !f.iter().any(|fe| below(mode, fe, e))
+            && !d.iter().any(|de| below(mode, e, de))
+    });
+    if let Some(e) = counterexample {
+        return DualityOutcome::no(
+            "found a data example that is neither above the left-hand side nor below the right-hand side",
+            Some(e.clone()),
+        );
     }
 
     DualityOutcome::unknown(

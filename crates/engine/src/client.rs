@@ -380,9 +380,9 @@ impl Client {
 
     /// Sends a batch of requests as one pipelined burst — every frame
     /// written back-to-back in a single buffered write — then reads the
-    /// responses back in request order.  One connection bursting
-    /// `requests.len()` lines is what keeps the server's pipeline
-    /// window, and through it the store's group-commit queue, full.
+    /// responses back in request order.  The server handles each window
+    /// of the burst in order, exactly as the same requests sent one by
+    /// one, so a burst saves round trips without changing any answer.
     ///
     /// Each request gets its own `request_id`, fixed up front; a
     /// transport failure retries the in-flight chunk over a fresh

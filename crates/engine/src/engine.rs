@@ -44,9 +44,9 @@ impl Default for EngineConfig {
 /// * each workspace sits behind its own `Mutex`, so requests against
 ///   different workspaces run fully in parallel while requests against
 ///   one workspace serialize (each sees a consistent revision),
-/// * hom/core computations inside a request fan out across the scoped
-///   worker pool of `cqfit_hom`, and their results land in the shared
-///   [`HomCache`], where *every* workspace and connection can hit them.
+/// * hom/core computations run on the thread handling the request, and
+///   their results land in the shared [`HomCache`], where *every*
+///   workspace and connection can hit them.
 ///
 /// The per-workspace lock is held across the fitting computation; that is
 /// deliberate — a fit pins the revision it answers for, and concurrent
@@ -880,108 +880,6 @@ impl Engine {
             }
         }
     }
-
-    /// Handles a batch of requests, fanning independent workspaces across
-    /// scoped worker threads.
-    ///
-    /// Semantics: requests are grouped by target workspace; within one
-    /// workspace the batch order is preserved (so ids and revisions come
-    /// out as in the sequential loop), distinct workspaces run
-    /// concurrently, and workspace-less requests (`ping`, `stats`,
-    /// `list_workspaces`, `shutdown`) are answered on the calling thread
-    /// *after* all groups finish.  Responses are returned in request
-    /// order.
-    pub fn handle_batch(&self, requests: &[Request]) -> Vec<Response> {
-        self.batch_impl(requests.len(), |i| (&requests[i], None, None))
-    }
-
-    /// [`handle_batch`] with a per-request idempotency id, as carried by a
-    /// pipelined connection: each request is routed through
-    /// [`handle_with_id`], so identified mutations inside a pipelined
-    /// window get the same exactly-once retry semantics as sequential
-    /// ones.
-    ///
-    /// [`handle_batch`]: Engine::handle_batch
-    /// [`handle_with_id`]: Engine::handle_with_id
-    pub fn handle_batch_with_ids(&self, requests: &[(Request, Option<u64>)]) -> Vec<Response> {
-        self.batch_impl(requests.len(), |i| (&requests[i].0, requests[i].1, None))
-    }
-
-    /// [`handle_batch_with_ids`] with a per-request trace context: each
-    /// member is routed through [`handle_traced`], so a pipelined window
-    /// produces one `engine.handle` child span per member under its own
-    /// server request span.
-    ///
-    /// [`handle_batch_with_ids`]: Engine::handle_batch_with_ids
-    /// [`handle_traced`]: Engine::handle_traced
-    pub fn handle_batch_traced(
-        &self,
-        requests: &[(Request, Option<u64>, Option<TraceContext>)],
-    ) -> Vec<Response> {
-        self.batch_impl(requests.len(), |i| {
-            (&requests[i].0, requests[i].1, requests[i].2.as_ref())
-        })
-    }
-
-    fn batch_impl<'a>(
-        &self,
-        len: usize,
-        get: impl Fn(usize) -> (&'a Request, Option<u64>, Option<&'a TraceContext>) + Sync,
-    ) -> Vec<Response> {
-        let mut groups: HashMap<&str, Vec<usize>> = HashMap::new();
-        let mut global = Vec::new();
-        for i in 0..len {
-            match get(i).0.workspace() {
-                Some(ws) => groups.entry(ws).or_default().push(i),
-                None => global.push(i),
-            }
-        }
-        let mut out: Vec<Option<Response>> = Vec::new();
-        out.resize_with(len, || None);
-        let group_list: Vec<Vec<usize>> = groups.into_values().collect();
-        // Bounded worker pool over the groups (a batch may touch thousands
-        // of workspaces; one OS thread per workspace would oversubscribe):
-        // each worker claims whole groups via an atomic cursor, so
-        // per-workspace order is still preserved.
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(group_list.len())
-            .max(1);
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let results: Vec<Vec<(usize, Response)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let g = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(indices) = group_list.get(g) else {
-                                break;
-                            };
-                            local.extend(indices.iter().map(|&i| {
-                                let (req, id, ctx) = get(i);
-                                (i, self.handle_traced(req, id, ctx))
-                            }));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("engine batch worker panicked"))
-                .collect()
-        });
-        for (i, resp) in results.into_iter().flatten() {
-            out[i] = Some(resp);
-        }
-        for i in global {
-            let (req, id, ctx) = get(i);
-            out[i] = Some(self.handle_traced(req, id, ctx));
-        }
-        out.into_iter().map(|r| r.expect("all filled")).collect()
-    }
 }
 
 #[cfg(test)]
@@ -1456,47 +1354,6 @@ mod tests {
         let engine = Engine::default();
         for req in [Request::Persist, Request::Recover, Request::StoreInfo] {
             assert!(!engine.handle(&req).is_ok(), "{req:?} must error");
-        }
-    }
-
-    #[test]
-    fn batch_preserves_order_and_matches_sequential() {
-        let seq = Engine::default();
-        let par = Engine::default();
-        let mut requests = vec![Request::Ping];
-        for ws in ["a", "b", "c"] {
-            requests.push(Request::CreateWorkspace {
-                workspace: ws.into(),
-                schema: Schema::new([("R", 2)]).unwrap(),
-                arity: 0,
-            });
-        }
-        for ws in ["a", "b", "c"] {
-            requests.push(Request::AddExample {
-                workspace: ws.into(),
-                polarity: Polarity::Positive,
-                example: ExamplePayload::Text("R(a,b)\nR(b,c)\nR(c,a)".into()),
-            });
-            requests.push(Request::AddExample {
-                workspace: ws.into(),
-                polarity: Polarity::Negative,
-                example: ExamplePayload::Text("R(a,b)\nR(b,a)".into()),
-            });
-            requests.push(Request::Fit {
-                workspace: ws.into(),
-                class: QueryClass::Cq,
-                mode: FitMode::Minimized,
-            });
-        }
-        let seq_out: Vec<Response> = requests.iter().map(|r| seq.handle(r)).collect();
-        let par_out = par.handle_batch(&requests);
-        assert_eq!(seq_out.len(), par_out.len());
-        for (s, p) in seq_out.iter().zip(&par_out) {
-            assert_eq!(
-                serde::to_string(s),
-                serde::to_string(p),
-                "batch answer differs from sequential"
-            );
         }
     }
 

@@ -13,8 +13,8 @@
 //! Two front ends share the same [`Request`]/[`Response`] protocol:
 //!
 //! * the in-process [`Engine`] (interior-mutability-safe; share it via
-//!   `Arc` across request threads, or push whole batches through
-//!   [`Engine::handle_batch`]),
+//!   `Arc` across request threads — every request runs on the thread
+//!   that hands it in),
 //! * the std-only JSONL-over-TCP [`Server`] behind the `cqfit-serve`
 //!   binary, with [`Client`] and the scripted `cqfit-session` binary as
 //!   consumers.

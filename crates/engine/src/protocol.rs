@@ -292,8 +292,8 @@ impl Request {
         }
     }
 
-    /// The workspace this request targets, if any (used by
-    /// [`crate::Engine::handle_batch`] to group independent requests).
+    /// The workspace this request targets, if any (used for the idempotency
+    /// memo and span annotations).
     pub fn workspace(&self) -> Option<&str> {
         match self {
             Request::CreateWorkspace { workspace, .. }

@@ -8,9 +8,10 @@
 //! idempotency memo ([`Engine::handle_with_id`]) so client retries after
 //! an ambiguous connection drop apply exactly once.  Connections are
 //! pipelined: up to [`PIPELINE_WINDOW`] already-buffered request lines
-//! are dispatched as one in-flight batch (responses written in request
-//! order), which is what lets a single bursting client keep the store's
-//! group-commit queue full.  Malformed lines are
+//! are taken as one window, handled in order on the connection's thread,
+//! and answered in one reply frame — a window is answered exactly as the
+//! same requests sent one by one.  Concurrency lives across connections
+//! (one thread each), never inside a window.  Malformed lines are
 //! answered with an error response carrying the line-internal column of
 //! the offending token; the connection stays open.  A `{"op":"shutdown"}`
 //! request is acknowledged, then the server stops accepting connections
@@ -59,13 +60,11 @@ const READ_CHUNK: usize = 64 * 1024;
 const WAKE_ATTEMPTS: u32 = 3;
 
 /// Per-connection pipeline window: at most this many already-buffered
-/// request lines are decoded and dispatched as one in-flight batch.
-/// Responses are still written in request order, and the window never
-/// *waits* for more input — a client that writes one request and blocks
-/// on the reply sees batches of one with the exact sequential
-/// semantics, while a pipelining client that bursts N requests gets
-/// them dispatched concurrently (and their durable appends group-
-/// committed under a shared fsync by the store's commit queue).
+/// request lines are decoded as one window and handled in order.
+/// Responses are written in request order as one reply frame, and the
+/// window never *waits* for more input — a client that writes one
+/// request and blocks on the reply sees windows of one, while a
+/// pipelining client that bursts N requests saves N-1 round trips.
 ///
 /// The engine's exactly-once memo keeps this many entries per
 /// workspace, and the client chunks pipelined bursts to this size, so a
@@ -310,12 +309,11 @@ fn is_disconnect(e: &io::Error) -> bool {
 
 /// Handles one connection; returns on EOF, I/O error, or shutdown.
 ///
-/// `window` bounds how many already-buffered request lines may be
-/// in flight at once (see [`PIPELINE_WINDOW`]).  Dispatch never waits
-/// for the window to fill: whatever complete lines the read buffer
-/// holds — up to the window — form one batch, so an unpipelined client
-/// keeps strict request-by-request semantics.  Responses are written in
-/// request order after the batch completes.
+/// `window` bounds how many already-buffered request lines are taken at
+/// once (see [`PIPELINE_WINDOW`]).  Dispatch never waits for the window
+/// to fill: whatever complete lines the read buffer holds — up to the
+/// window — are handled in order, and their responses are written in
+/// request order as one frame.
 fn serve_connection(
     engine: &Engine,
     shutdown: &AtomicBool,
@@ -408,7 +406,7 @@ fn serve_connection(
             Pending(usize),
         }
         let mut slots: Vec<Slot> = Vec::new();
-        let mut batch: Vec<(Request, Option<u64>, Option<TraceContext>)> = Vec::new();
+        let mut batch: Vec<(Request, Option<u64>, TraceContext)> = Vec::new();
         let mut shutdown_req: Option<(Request, Option<u64>)> = None;
         let mut framing_lost = false;
         for (payload, terminated) in &lines {
@@ -457,7 +455,7 @@ fn serve_connection(
                             None => tracer.root_context(),
                         };
                         slots.push(Slot::Pending(batch.len()));
-                        batch.push((request, request_id, Some(ctx)));
+                        batch.push((request, request_id, ctx));
                     }
                 },
             }
@@ -466,21 +464,19 @@ fn serve_connection(
         // (decode/dispatch/reply happen batch-at-a-time); three more
         // clock reads per dispatched batch, none for error-only frames.
         let trace_decoded_ns = (!batch.is_empty()).then(|| clock.monotonic().as_nanos() as u64);
-        // Dispatch: a batch of one takes the plain sequential path (the
-        // deterministic-scheduler path used by `run_sequential`); larger
-        // batches fan out through the engine's grouped batch executor,
-        // whose concurrent durable appends the store group-commits.
-        // One causal "server.request" span per dispatched request, opened
-        // at the frame-read anchor and parented on the wire context (or
-        // rooted here).  The engine receives the span's own context, so
-        // its handle/append/fsync spans hang off this one.
+        // Dispatch: every request of the window runs in order on this
+        // connection's thread, so a window is answered exactly as the
+        // same requests sent one by one.  One causal "server.request" span
+        // per dispatched request, opened at the frame-read anchor and
+        // parented on the wire context (or rooted here).  The engine
+        // receives the span's own context, so its handle/append/fsync
+        // spans hang off this one.
         let mut request_spans = Vec::with_capacity(batch.len());
         if !batch.is_empty() {
             registry.server_batch_depth.record(batch.len() as u64);
             registry.server_pipeline_depth.set(batch.len() as i64);
             for (request, request_id, ctx) in &batch {
-                let ctx = ctx.expect("server assigns every batch member a context");
-                let mut span = tracer.start_at(ctx, "server.request", trace_begun_ns);
+                let mut span = tracer.start_at(*ctx, "server.request", trace_begun_ns);
                 span.annotate("op", request.op());
                 if let Some(ws) = request.workspace() {
                     span.annotate("workspace", ws);
@@ -492,14 +488,10 @@ fn serve_connection(
                 request_spans.push(span);
             }
         }
-        let responses = match batch.len() {
-            0 => Vec::new(),
-            1 => {
-                let (request, request_id, ctx) = &batch[0];
-                vec![engine.handle_traced(request, *request_id, ctx.as_ref())]
-            }
-            _ => engine.handle_batch_traced(&batch),
-        };
+        let responses: Vec<Response> = batch
+            .iter()
+            .map(|(request, request_id, ctx)| engine.handle_traced(request, *request_id, Some(ctx)))
+            .collect();
         let trace_dispatched_ns = trace_decoded_ns.map(|_| {
             registry.server_pipeline_depth.set(0);
             clock.monotonic().as_nanos() as u64
@@ -650,16 +642,48 @@ mod tests {
     }
 
     /// A pipelined burst on one connection: the client writes the whole
-    /// batch before reading, the server dispatches a bounded window of
-    /// it in flight, and the responses come back in request order.
+    /// batch before reading, the server handles a bounded window of it in
+    /// order, and the responses come back in request order — byte for
+    /// byte what the same requests sent one at a time get, workspace-less
+    /// requests included.
     #[test]
     fn pipelined_burst_answers_in_request_order() {
-        let engine = Arc::new(Engine::new(EngineConfig::default()));
-        let server = Server::bind("127.0.0.1:0", Arc::clone(&engine)).unwrap();
-        let addr = server.local_addr().unwrap();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        let serve = || {
+            let engine = Arc::new(Engine::new(EngineConfig::default()));
+            let server = Server::bind("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+            let addr = server.local_addr().unwrap();
+            let handle = std::thread::spawn(move || server.run().unwrap());
+            (engine, Client::connect(&addr).unwrap(), handle)
+        };
+        let (engine, mut client, handle) = serve();
 
-        let mut client = Client::connect(&addr).unwrap();
+        let create = |name: &str| Request::CreateWorkspace {
+            workspace: name.into(),
+            schema: Schema::new([("R", 2)]).unwrap(),
+            arity: 0,
+        };
+        let mixed = [
+            create("a"),
+            Request::ListWorkspaces,
+            create("b"),
+            Request::ListWorkspaces,
+        ];
+        let render = |responses: Vec<Response>| -> Vec<String> {
+            responses.iter().map(serde::to_string).collect()
+        };
+        let pipelined = render(client.call_pipelined(&mixed).unwrap());
+        let (_, mut one_by_one_client, one_by_one_handle) = serve();
+        let one_by_one = render(
+            mixed
+                .iter()
+                .map(|r| one_by_one_client.call(r).unwrap())
+                .collect(),
+        );
+        assert_eq!(pipelined, one_by_one);
+        assert!(pipelined[1].contains("[\"a\"]"), "{pipelined:?}");
+        one_by_one_client.call(&Request::Shutdown).unwrap();
+        one_by_one_handle.join().unwrap();
+
         let mut requests = vec![Request::CreateWorkspace {
             workspace: "p".into(),
             schema: Schema::new([("R", 2)]).unwrap(),
@@ -706,7 +730,7 @@ mod tests {
         assert!(depth.count >= 1 && depth.max >= 1, "{depth:?}");
         assert_eq!(
             snap.histogram("server_request_ns").unwrap().count,
-            requests.len() as u64,
+            (mixed.len() + requests.len()) as u64,
             "one latency sample per dispatched request"
         );
         assert!(

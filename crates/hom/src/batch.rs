@@ -1,130 +1,18 @@
-//! Batched homomorphism checks, fanned across `std::thread::scope` workers.
+//! Cross-product homomorphism checks.
 //!
 //! Every fitting procedure of the paper reduces to *families* of independent
 //! homomorphism checks: the product of the positives against each negative
 //! example (Prop. 3.3), every positive against every negative for UCQs
 //! (Prop. 4.2), each frontier member against each negative (Prop. 3.11),
 //! each candidate counterexample of a duality check against both sides.
-//! The helpers here run such a family in parallel while keeping every
-//! individual check exact — batching changes wall-clock time, never answers.
-//!
-//! The implementation uses only the standard library (scoped threads plus an
-//! atomic work-stealing cursor); results are written per worker and merged,
-//! so no locks are held while searching.  All entry points are deterministic:
-//! they return exactly what the equivalent sequential loop would return.
+//! Such families run in order on the calling thread, as plain iterator
+//! chains over [`hom_exists`]; parallelism lives at the connection level of
+//! the fitting service, never inside one question.  This module holds the
+//! one shape that needs more than a one-liner: the `srcs × dsts` answer
+//! matrix of [`hom_exists_cross`].
 
-use crate::search::{find_homomorphism, hom_exists, Homomorphism};
+use crate::search::hom_exists;
 use cqfit_data::Example;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// A batch is worth threading only above this size: below it, thread spawn
-/// latency (tens of microseconds per worker) dominates small searches, so
-/// short batches run the plain sequential loop.
-const MIN_PARALLEL_BATCH: usize = 4;
-
-/// Number of workers for a batch of `n` independent checks: at most the
-/// machine parallelism (queried once per process), and never more than one
-/// worker per two checks, so each spawned thread amortizes its spawn cost
-/// over at least two searches.
-fn worker_count(n: usize) -> usize {
-    if n < MIN_PARALLEL_BATCH {
-        return 1;
-    }
-    static PARALLELISM: OnceLock<usize> = OnceLock::new();
-    let machine = *PARALLELISM.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    });
-    machine.min(n / 2)
-}
-
-/// Runs `f(i)` for every `i < n` across scoped workers, merging the per-index
-/// results into a vector.  `skip(i)` allows workers to bypass indices whose
-/// result can no longer matter (they yield `None`).  Shared with the core
-/// engine (`crate::core`), which batches its retraction candidate checks
-/// through the same worker pool.
-pub(crate) fn run_batch<T, F, S>(n: usize, f: F, skip: S) -> Vec<Option<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    S: Fn(usize) -> bool + Sync,
-{
-    let workers = worker_count(n);
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    if workers <= 1 {
-        for i in 0..n {
-            out.push(if skip(i) { None } else { Some(f(i)) });
-        }
-        return out;
-    }
-    let cursor = AtomicUsize::new(0);
-    let locals: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        if !skip(i) {
-                            local.push((i, f(i)));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("homomorphism worker panicked"))
-            .collect()
-    });
-    out.resize_with(n, || None);
-    for (i, v) in locals.into_iter().flatten() {
-        out[i] = Some(v);
-    }
-    out
-}
-
-/// Checks every `(src, dst)` pair for homomorphism existence, in parallel.
-///
-/// Equivalent to `pairs.iter().map(|(s, d)| hom_exists(s, d)).collect()`,
-/// with the independent checks fanned across scoped worker threads.  Panics
-/// (like [`hom_exists`]) if some pair mixes schemas or arities.
-pub fn hom_exists_batch(pairs: &[(&Example, &Example)]) -> Vec<bool> {
-    run_batch(
-        pairs.len(),
-        |i| hom_exists(pairs[i].0, pairs[i].1),
-        |_| false,
-    )
-    .into_iter()
-    .map(|r| r.expect("no index is skipped"))
-    .collect()
-}
-
-/// True if *some* pair admits a homomorphism, in parallel with early exit.
-///
-/// Equivalent to `pairs.iter().any(|(s, d)| hom_exists(s, d))`; once one
-/// worker finds a homomorphism the remaining unstarted checks are skipped.
-pub fn any_hom_exists_batch(pairs: &[(&Example, &Example)]) -> bool {
-    let found = AtomicBool::new(false);
-    let results = run_batch(
-        pairs.len(),
-        |i| {
-            let yes = hom_exists(pairs[i].0, pairs[i].1);
-            if yes {
-                found.store(true, Ordering::Relaxed);
-            }
-            yes
-        },
-        |_| found.load(Ordering::Relaxed),
-    );
-    results.into_iter().flatten().any(|b| b)
-}
 
 /// Row-major matrix of boolean answers over a `rows × cols` cross product
 /// of checks, with the stride arithmetic kept in one place.
@@ -170,41 +58,14 @@ impl CrossFlags {
 }
 
 /// Checks every `(src, dst)` pair of the `srcs × dsts` cross product for
-/// homomorphism existence as one parallel batch, returning the row-major
-/// answer matrix (rows = sources).
+/// homomorphism existence, returning the row-major answer matrix
+/// (rows = sources).
 pub fn hom_exists_cross(srcs: &[&Example], dsts: &[&Example]) -> CrossFlags {
-    let pairs: Vec<(&Example, &Example)> = srcs
+    let flags = srcs
         .iter()
-        .flat_map(|&s| dsts.iter().map(move |&d| (s, d)))
+        .flat_map(|&s| dsts.iter().map(move |&d| hom_exists(s, d)))
         .collect();
-    CrossFlags::from_flags(hom_exists_batch(&pairs), dsts.len())
-}
-
-/// Finds the smallest index whose pair admits a homomorphism, together with
-/// a witness, in parallel.
-///
-/// Equivalent to the sequential
-/// `pairs.iter().enumerate().find_map(|(i, (s, d))| find_homomorphism(s, d).map(|h| (i, h)))`:
-/// the returned index is always the *smallest* one admitting a homomorphism
-/// (workers only skip indices strictly above an already-found hit, which can
-/// therefore never be the minimum).
-pub fn find_first_hom_batch(pairs: &[(&Example, &Example)]) -> Option<(usize, Homomorphism)> {
-    let best = AtomicUsize::new(usize::MAX);
-    let results = run_batch(
-        pairs.len(),
-        |i| {
-            let h = find_homomorphism(pairs[i].0, pairs[i].1);
-            if h.is_some() {
-                best.fetch_min(i, Ordering::Relaxed);
-            }
-            h
-        },
-        |i| i > best.load(Ordering::Relaxed),
-    );
-    results
-        .into_iter()
-        .enumerate()
-        .find_map(|(i, r)| r.flatten().map(|h| (i, h)))
+    CrossFlags::from_flags(flags, dsts.len())
 }
 
 #[cfg(test)]
@@ -236,39 +97,18 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential() {
-        let srcs = [cycle(3), cycle(4), cycle(5), cycle(6), cycle(7)];
-        let k2 = clique(2);
-        let pairs: Vec<(&Example, &Example)> = srcs.iter().map(|s| (s, &k2)).collect();
-        let batch = hom_exists_batch(&pairs);
-        let seq: Vec<bool> = pairs.iter().map(|(s, d)| hom_exists(s, d)).collect();
-        assert_eq!(batch, seq);
-        assert_eq!(batch, vec![false, true, false, true, false]);
-    }
-
-    #[test]
-    fn any_agrees_with_or() {
-        let k2 = clique(2);
-        let odd = [cycle(3), cycle(5), cycle(7)];
-        let pairs: Vec<(&Example, &Example)> = odd.iter().map(|s| (s, &k2)).collect();
-        assert!(!any_hom_exists_batch(&pairs));
-        let mixed = [cycle(3), cycle(4), cycle(5)];
-        let pairs: Vec<(&Example, &Example)> = mixed.iter().map(|s| (s, &k2)).collect();
-        assert!(any_hom_exists_batch(&pairs));
-        assert!(!any_hom_exists_batch(&[]));
-    }
-
-    #[test]
-    fn first_hit_is_the_smallest_index() {
-        let k2 = clique(2);
-        let srcs = [cycle(3), cycle(5), cycle(4), cycle(6), cycle(8)];
-        let pairs: Vec<(&Example, &Example)> = srcs.iter().map(|s| (s, &k2)).collect();
-        let (i, h) = find_first_hom_batch(&pairs).expect("even cycles map to K2");
-        assert_eq!(i, 2);
-        assert!(h.verify(&srcs[2], &k2));
-        assert!(find_first_hom_batch(&[]).is_none());
-        let odd = [cycle(3), cycle(5)];
-        let pairs: Vec<(&Example, &Example)> = odd.iter().map(|s| (s, &k2)).collect();
-        assert!(find_first_hom_batch(&pairs).is_none());
+        let srcs: Vec<Example> = (3..9).map(cycle).collect();
+        let src_refs: Vec<&Example> = srcs.iter().collect();
+        let (k2, k3) = (clique(2), clique(3));
+        let dsts = [&k2, &k3];
+        let cross = hom_exists_cross(&src_refs, &dsts);
+        for (i, s) in srcs.iter().enumerate() {
+            let seq: Vec<bool> = dsts.iter().map(|d| hom_exists(s, d)).collect();
+            assert_eq!(cross.row(i), seq.as_slice(), "row {i}");
+        }
+        // Only even cycles map to K2.
+        let to_k2: Vec<bool> = (0..srcs.len()).map(|i| cross.row(i)[0]).collect();
+        assert_eq!(to_k2, [false, true, false, true, false, true]);
     }
 
     #[test]
@@ -290,16 +130,5 @@ mod tests {
         let empty_dst = hom_exists_cross(&src_refs, &[]);
         assert!(!empty_dst.any_in_row(0));
         assert_eq!(hom_exists_cross(&[], &dsts).first_true(), None);
-    }
-
-    #[test]
-    fn large_batch_exercises_all_workers() {
-        let k3 = clique(3);
-        let srcs: Vec<Example> = (3..40).map(cycle).collect();
-        let pairs: Vec<(&Example, &Example)> = srcs.iter().map(|s| (s, &k3)).collect();
-        let batch = hom_exists_batch(&pairs);
-        for (k, &yes) in (3..40).zip(batch.iter()) {
-            assert_eq!(yes, hom_exists(&srcs[k - 3], &k3), "k = {k}");
-        }
     }
 }

@@ -25,20 +25,17 @@
 //! Concurrency: the hom map is sharded (16 shards, picked by key bits)
 //! behind plain `Mutex`es — lookups and inserts hold a shard lock for a
 //! hash-map operation only, never during a search.  Batch entry points
-//! fan cache misses across the same scoped worker pool as the uncached
-//! batch API ([`crate::hom_exists_batch`]).
+//! run their cache misses in order on the calling thread.
 //!
 //! Bounds: both maps stop inserting at a configurable entry cap (default
 //! 1M hom entries, 4096 cores) — a full cache keeps serving hits for the
 //! keys it holds and computes the rest, so long-running servers cannot be
 //! grown without bound by adversarial workloads.
 
-use crate::batch::run_batch;
 use crate::search::hom_exists;
 use cqfit_data::{CanonicalHash, CanonicalHasher, Example};
 use cqfit_obs::Registry;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of shards of the hom-existence map (power of two).
@@ -51,7 +48,7 @@ pub struct CacheStats {
     pub hom_hits: u64,
     /// Hom-existence searches actually executed.  Duplicate pairs within
     /// one batch share a single search (and a single count), and pairs
-    /// skipped by the early exit of [`HomCache::any_hom_exists`] are not
+    /// after the first hit of [`HomCache::any_hom_exists`] are not
     /// counted — no search ran for them.
     pub hom_misses: u64,
     /// Core lookups answered from the cache.
@@ -192,112 +189,61 @@ impl HomCache {
         answer
     }
 
-    /// Cached batch variant of [`crate::hom_exists_batch`]: answers every
-    /// pair, serving repeats from the cache and fanning the misses across
-    /// the scoped worker pool.  Duplicate uncached pairs within the batch
-    /// are searched once and share the answer.  Returns exactly what the
-    /// uncached batch would.
+    /// Cached batch of [`hom_exists`] checks: answers every pair, serving
+    /// repeats from the cache.  Duplicate uncached pairs within the batch
+    /// are searched once and share the answer.  Returns exactly what
+    /// `pairs.iter().map(|(s, d)| hom_exists(s, d))` would.
     pub fn hom_exists_batch(&self, pairs: &[(&Example, &Example)]) -> Vec<bool> {
-        let keys: Vec<(CanonicalHash, CanonicalHash)> = pairs
+        let mut searched: HashMap<(CanonicalHash, CanonicalHash), bool> = HashMap::new();
+        pairs
             .iter()
-            .map(|(s, d)| (s.canonical_hash(), d.canonical_hash()))
-            .collect();
-        let mut out: Vec<Option<bool>> = vec![None; pairs.len()];
-        // Dedup the misses by key: `unique` holds one representative pair
-        // index per distinct uncached key, `pending` maps every uncached
-        // pair to its slot in `unique`.
-        let mut slot_of_key: HashMap<(CanonicalHash, CanonicalHash), usize> = HashMap::new();
-        let mut unique: Vec<usize> = Vec::new();
-        let mut pending: Vec<(usize, usize)> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match self.peek_hom(key) {
-                Some(answer) => {
+            .map(|&(s, d)| {
+                let key = (s.canonical_hash(), d.canonical_hash());
+                if let Some(&answer) = searched.get(&key) {
+                    return answer;
+                }
+                if let Some(answer) = self.peek_hom(&key) {
                     self.note_hit();
-                    out[i] = Some(answer);
+                    return answer;
                 }
-                None => {
-                    let slot = *slot_of_key.entry(*key).or_insert_with(|| {
-                        unique.push(i);
-                        unique.len() - 1
-                    });
-                    pending.push((i, slot));
-                }
-            }
-        }
-        if !unique.is_empty() {
-            let answers: Vec<bool> = run_batch(
-                unique.len(),
-                |u| {
-                    let (s, d) = pairs[unique[u]];
-                    hom_exists(s, d)
-                },
-                |_| false,
-            )
-            .into_iter()
-            .map(|r| r.expect("no index is skipped"))
-            .collect();
-            for (u, &answer) in answers.iter().enumerate() {
                 self.note_miss();
-                self.insert_hom(keys[unique[u]], answer);
-            }
-            for (i, slot) in pending {
-                out[i] = Some(answers[slot]);
-            }
-        }
-        out.into_iter().map(|b| b.expect("all filled")).collect()
+                let answer = hom_exists(s, d);
+                self.insert_hom(key, answer);
+                searched.insert(key, answer);
+                answer
+            })
+            .collect()
     }
 
-    /// Cached variant of [`crate::any_hom_exists_batch`]: true if some pair
-    /// admits a homomorphism.  Cached positive answers short-circuit before
-    /// any search; the remaining distinct uncached keys run as a parallel
-    /// batch with early exit (skipped pairs run no search, are not cached,
-    /// and are not counted as misses).
+    /// Cached `pairs.iter().any(|(s, d)| hom_exists(s, d))`.  Cached
+    /// positive answers short-circuit before any search; the remaining
+    /// distinct uncached keys are then searched in order, stopping at the
+    /// first hit (pairs after it run no search, are not cached, and are
+    /// not counted as misses).
     pub fn any_hom_exists(&self, pairs: &[(&Example, &Example)]) -> bool {
-        let keys: Vec<(CanonicalHash, CanonicalHash)> = pairs
-            .iter()
-            .map(|(s, d)| (s.canonical_hash(), d.canonical_hash()))
-            .collect();
         let mut seen: HashSet<(CanonicalHash, CanonicalHash)> = HashSet::new();
-        let mut unique: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match self.peek_hom(key) {
+        let mut uncached = Vec::new();
+        for &(s, d) in pairs {
+            let key = (s.canonical_hash(), d.canonical_hash());
+            match self.peek_hom(&key) {
                 Some(true) => {
                     self.note_hit();
                     return true;
                 }
                 Some(false) => self.note_hit(),
                 None => {
-                    if seen.insert(*key) {
-                        unique.push(i);
+                    if seen.insert(key) {
+                        uncached.push((s, d, key));
                     }
                 }
             }
         }
-        if unique.is_empty() {
-            return false;
-        }
-        let found = AtomicBool::new(false);
-        let results = run_batch(
-            unique.len(),
-            |u| {
-                let (s, d) = pairs[unique[u]];
-                let yes = hom_exists(s, d);
-                if yes {
-                    found.store(true, Ordering::Relaxed);
-                }
-                yes
-            },
-            |_| found.load(Ordering::Relaxed),
-        );
-        let mut any = false;
-        for (u, r) in results.into_iter().enumerate() {
-            if let Some(answer) = r {
-                self.note_miss();
-                self.insert_hom(keys[unique[u]], answer);
-                any |= answer;
-            }
-        }
-        any
+        uncached.into_iter().any(|(s, d, key)| {
+            self.note_miss();
+            let answer = hom_exists(s, d);
+            self.insert_hom(key, answer);
+            answer
+        })
     }
 
     /// Cached [`crate::core_of`]: the core of a pointed instance.

@@ -30,11 +30,10 @@
 //! * **Orbit folding** — a witness retraction `h` avoiding `v` misses not
 //!   just `v` but every value outside its image; all of them are deactivated
 //!   at once, instead of one value per pass.
-//! * **Batched candidate checks** — the independent per-candidate searches of
-//!   one round fan across the same scoped worker pool as
-//!   [`crate::hom_exists_batch`], with an early-exit cursor; the first (i.e.
-//!   smallest-index) witness is always the one folded, so the result is
-//!   deterministic regardless of worker count.
+//! * **First-witness candidate checks** — when the endomorphism sweep is
+//!   capped, the per-candidate retraction searches of one round run in
+//!   candidate order on the calling thread and stop at the first witness,
+//!   which is the one folded; no search starts after a witness is found.
 //!
 //! The engine and the oracle agree up to isomorphism (equal value and fact
 //! counts, homomorphic equivalence, identical distinguished tuples), which is
@@ -43,7 +42,6 @@
 
 pub mod reference;
 
-use crate::batch::run_batch;
 use crate::search::{
     enumerate_homomorphisms_tweaked, find_homomorphism, find_homomorphism_tweaked, SearchTweaks,
     TweakedEnumeration,
@@ -51,7 +49,6 @@ use crate::search::{
 use crate::Homomorphism;
 use cqfit_data::{Example, Value};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Outcome of one endomorphism sweep over the alive sub-instance.
 enum Sweep {
@@ -110,51 +107,32 @@ fn endo_sweep(e: &Example, alive: &[bool], candidates: &[Value]) -> Sweep {
     }
 }
 
-/// Finds the smallest-index candidate in `candidates` that admits a
-/// retraction of the `alive`-masked sub-instance of `e` avoiding that
-/// candidate, together with the witness homomorphism.  The independent
-/// checks are fanned across scoped workers with an early-exit cursor (only
-/// indices above an already-found witness are skipped, so the returned index
-/// is always the smallest one).
-fn first_retraction(
-    e: &Example,
-    alive: &[bool],
-    candidates: &[Value],
-) -> Option<(usize, Homomorphism)> {
-    let best = AtomicUsize::new(usize::MAX);
-    let results = run_batch(
-        candidates.len(),
-        |i| {
-            let mut dst_alive = alive.to_vec();
-            dst_alive[candidates[i].index()] = false;
-            let h = find_homomorphism_tweaked(
-                e,
-                e,
-                SearchTweaks {
-                    src_alive: Some(alive),
-                    dst_alive: Some(&dst_alive),
-                    branch_first: Some(candidates[i]),
-                    lazy_propagation: true,
-                },
-            );
-            if h.is_some() {
-                best.fetch_min(i, Ordering::Relaxed);
-            }
-            h
-        },
-        |i| i > best.load(Ordering::Relaxed),
-    );
-    results
-        .into_iter()
-        .enumerate()
-        .find_map(|(i, r)| r.flatten().map(|h| (i, h)))
+/// Finds the first candidate in `candidates` that admits a retraction of
+/// the `alive`-masked sub-instance of `e` avoiding that candidate, and
+/// returns the witness homomorphism.  Candidates are checked in order and
+/// the search stops at the first witness.
+fn first_retraction(e: &Example, alive: &[bool], candidates: &[Value]) -> Option<Homomorphism> {
+    candidates.iter().find_map(|&c| {
+        let mut dst_alive = alive.to_vec();
+        dst_alive[c.index()] = false;
+        find_homomorphism_tweaked(
+            e,
+            e,
+            SearchTweaks {
+                src_alive: Some(alive),
+                dst_alive: Some(&dst_alive),
+                branch_first: Some(c),
+                lazy_propagation: true,
+            },
+        )
+    })
 }
 
 /// Computes the core of a pointed instance.
 ///
 /// One deactivation mask over the original domain is maintained throughout:
 /// isolated non-distinguished values are deactivated immediately, each round
-/// batch-searches the alive candidates for a retraction, and a found witness
+/// searches the alive candidates for a retraction, and a found witness
 /// deactivates the *entire* complement of its image (orbit folding).  The
 /// induced sub-instance is materialized exactly once, at the end.
 ///
@@ -187,8 +165,8 @@ pub fn core_of(e: &Example) -> Example {
         let witness = match endo_sweep(e, &alive, &candidates) {
             Sweep::NonSurjective(h) => Some(h),
             Sweep::AllSurjective => None,
-            // Fallback: batched per-candidate retraction checks.
-            Sweep::Capped => first_retraction(e, &alive, &candidates).map(|(_, h)| h),
+            // Fallback: per-candidate retraction checks.
+            Sweep::Capped => first_retraction(e, &alive, &candidates),
         };
         let Some(witness) = witness else {
             break;
@@ -221,7 +199,7 @@ pub fn core_of(e: &Example) -> Example {
 }
 
 /// True if the example is a core: no proper retraction exists.  Runs the
-/// same batched, mask-based candidate checks as [`core_of`] (with the full
+/// same mask-based candidate checks as [`core_of`] (with the full
 /// domain alive, matching the oracle's semantics of keeping declared values
 /// in place).
 pub fn is_core(e: &Example) -> bool {

@@ -34,9 +34,7 @@ mod search;
 mod simulation;
 
 pub use arc::{arc_consistency_candidates, arc_consistent};
-pub use batch::{
-    any_hom_exists_batch, find_first_hom_batch, hom_exists_batch, hom_exists_cross, CrossFlags,
-};
+pub use batch::{hom_exists_cross, CrossFlags};
 pub use cache::{CacheStats, HomCache};
 pub use core::{core_of, hom_equivalent, is_core};
 pub use error::HomError;

@@ -27,7 +27,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cqfit_env::{Env, FsFile, OpenMode};
 use serde::Serialize;
@@ -55,19 +55,31 @@ pub const FR_MAX_PAYLOAD: usize = FR_SLOT_BYTES - FR_SLOT_HEADER;
 /// Default slot count used by `cqfit-serve` when `--fr-slots` is absent.
 pub const FR_DEFAULT_SLOTS: usize = 1024;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial) — bitwise, no table; the
-/// flight recorder writes a few hundred bytes per span, so throughput is
-/// irrelevant next to the syscall it precedes.
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes`,
+/// table-driven: besides the journal slots here, it checks every record
+/// the store's write-ahead log replays.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut t = [0u32; 256];
+        for (i, entry) in t.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *entry = c;
+        }
+        t
+    });
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc ^ 0xFFFF_FFFF
 }
 
 /// The live, append-only span journal.  See the module docs for format

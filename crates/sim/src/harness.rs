@@ -1474,15 +1474,22 @@ fn phase_m_metric_invariants(
     phase_m_net_metrics(seed, cfg, stats)
 }
 
+/// Phase M's store-run sequence: create, seeded churn, then the question
+/// battery, all on workspace `wm`.
+fn phase_m_sequence(seed: u64, cfg: &SimConfig) -> Vec<Request> {
+    let ws = "wm";
+    let mut sequence = vec![create_request(ws)];
+    sequence.extend(churn_mutations(ws, seed ^ 0x5000, cfg.steps));
+    sequence.extend(questions(ws));
+    sequence
+}
+
 fn phase_m_store_metrics(
     seed: u64,
     cfg: &SimConfig,
     stats: &mut ExploreStats,
 ) -> Result<(), String> {
-    let ws = "wm";
-    let mut sequence = vec![create_request(ws)];
-    sequence.extend(churn_mutations(ws, seed ^ 0x5000, cfg.steps));
-    sequence.extend(questions(ws));
+    let sequence = phase_m_sequence(seed, cfg);
 
     // Run 1: exact append accounting (compaction disabled so every acked
     // logged mutation is exactly one append through the commit queue).
@@ -2247,6 +2254,41 @@ fn phase_t_flight_recorder(seed: u64, stats: &mut ExploreStats) -> Result<(), St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqfit_obs::Snapshot;
+
+    /// Phase M's store run on a fresh simulated environment, every
+    /// request traced under its own root context.
+    fn traced_store_run(seed: u64, sequence: &[Request]) -> (Snapshot, Vec<TraceSpan>) {
+        let env: Arc<dyn Env> = Arc::new(SimEnv::new(Arc::new(SimFs::new()), seed));
+        let store = Store::open_with(store_config(NO_COMPACTION), env).expect("store open");
+        let (engine, _) = Engine::with_store(EngineConfig::default(), store).expect("recovery");
+        for request in sequence {
+            let root = engine.tracer().root_context();
+            let response = engine.handle_traced(request, None, Some(&root));
+            assert!(response.is_ok(), "{request:?} failed: {response:?}");
+        }
+        (engine.registry().snapshot(), engine.registry().traces())
+    }
+
+    /// Determinism as an invariant: the same seed drives the same
+    /// requests to the same metrics (counters, gauges, histogram
+    /// summaries, event and span rings) and the same trace spans, ids and
+    /// timestamps included.  Several seeds, because which hom checks a
+    /// question runs (and so the cache counters and span timings) depends
+    /// on the seeded example shapes.
+    #[test]
+    fn same_seed_gives_identical_metrics_and_traces() {
+        let mut hom_misses = 0;
+        for seed in 0..16 {
+            let sequence = phase_m_sequence(seed, &SimConfig::smoke());
+            let (snapshot, traces) = traced_store_run(seed, &sequence);
+            let (again, again_traces) = traced_store_run(seed, &sequence);
+            assert_eq!(again, snapshot, "seed {seed}: same seed, same registry");
+            assert_eq!(again_traces, traces, "seed {seed}: same seed, same traces");
+            hom_misses += snapshot.counter("hom_misses");
+        }
+        assert!(hom_misses > 0, "the question batteries ran hom checks");
+    }
 
     /// One small seed through all seven phases: the harness's own smoke
     /// test (the exhaustive sweep runs via the `cqfit-sim` binary and

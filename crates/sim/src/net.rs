@@ -620,6 +620,12 @@ mod tests {
         let env = SimEnv::new(Arc::new(SimFs::new()), 5);
         let clock = env.clock_handle();
         let net = SimNet::new(Arc::clone(&clock), None, 5, NetFaultPlan::none());
+        // Near-frozen time: an empty poll only draws the clock's 1µs
+        // auto-tick, so the server's real connection thread and this
+        // test's read loop advance time at the rate they poll, and a
+        // thread that loses the CPU cannot come back to find seconds of
+        // simulated time gone.
+        net.set_wait_tick(Duration::ZERO);
         let env: Arc<dyn Env> = Arc::new(env.with_net(Arc::clone(&net)));
         let engine = Arc::new(Engine::with_env(EngineConfig::default(), Arc::clone(&env)));
         let server = Server::bind("sim:drain", engine).unwrap();

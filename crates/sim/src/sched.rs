@@ -6,9 +6,10 @@
 //! inside the code under test are never contended *between registered
 //! tasks* — which is what makes yielding safe under the call discipline
 //! documented in `cqfit-env` (never yield while holding a lock another
-//! registered task can block on).  Threads the code under test spawns
-//! itself (e.g. the engine's scoped hom-computation pool) are not
-//! registered and run freely inside their spawning task's time slice.
+//! registered task can block on).  Unregistered threads — the test
+//! runner, and the concurrent appenders phase G spawns to force a group
+//! commit — pass through yield points and run freely; the engine itself
+//! spawns no threads, so every engine call runs inside its task's slice.
 //!
 //! The switch sequence derives entirely from the seed, so a failing
 //! interleaving replays exactly from its seed.
@@ -55,8 +56,8 @@ impl Shared {
 
 thread_local! {
     /// `(scheduler identity, task id)` of the registered task running on
-    /// this thread, if any.  Unregistered threads (the engine's own
-    /// worker pools, the test runner) see `None` and never yield.
+    /// this thread, if any.  Unregistered threads (the test runner, phase
+    /// G's appenders) see `None` and never yield.
     static CURRENT_TASK: RefCell<Option<(usize, usize)>> = const { RefCell::new(None) };
 }
 

@@ -21,9 +21,9 @@
 //! the most recent snapshot).
 
 use cqfit_data::{Example, Schema};
+use cqfit_obs::crc32;
 use serde::json::{JsonError, Value as Json};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// A full copy of one workspace's logical state, as carried by a
 /// `snapshot` record and returned by recovery.
@@ -238,31 +238,6 @@ impl Deserialize for LogRecord {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
-
 /// Encodes one record as a checksummed JSONL line (including the trailing
 /// newline).
 pub fn encode_record(record: &LogRecord) -> String {
@@ -297,13 +272,6 @@ pub fn decode_record(line: &str) -> Result<LogRecord, String> {
 mod tests {
     use super::*;
     use cqfit_data::parse_example;
-
-    #[test]
-    fn crc32_known_vectors() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"a"), crc32(b"b"));
-    }
 
     fn sample_records() -> Vec<LogRecord> {
         let schema = Schema::digraph();

@@ -138,19 +138,6 @@ fn concurrent_sessions_match_sequential_batch() {
 }
 
 #[test]
-fn handle_batch_matches_per_request_calls() {
-    let a = Engine::new(EngineConfig::default());
-    let b = Engine::new(EngineConfig::default());
-    let mut all: Vec<Request> = Vec::new();
-    for t in 0..4 {
-        all.extend(workspace_stream(&format!("w{t}"), 9_100 + t as u64));
-    }
-    let batched = b.handle_batch(&all);
-    let sequential: Vec<Response> = all.iter().map(|r| a.handle(r)).collect();
-    assert_eq!(render(&sequential), render(&batched));
-}
-
-#[test]
 fn read_only_volley_is_consistent() {
     const READERS: usize = 12;
     let engine = Arc::new(Engine::new(EngineConfig::default()));
