@@ -35,7 +35,7 @@
 //!
 //! `metrics` dumps the engine's full metrics registry — every counter
 //! and gauge, latency-histogram summaries (p50/p90/p99/max), and the
-//! most recent structured events and request spans.  `watch` polls the
+//! most recent structured events.  `watch` polls the
 //! same registry every `--interval-ms` (default 1000) and prints one
 //! delta line per tick — request/append/retry throughput at a glance —
 //! until interrupted or `--count` ticks have been printed.
@@ -53,6 +53,7 @@
 use cqfit_engine::{
     Client, EngineStats, ExamplePayload, FitMode, Polarity, QueryClass, Request, Response,
 };
+use cqfit_env::RealEnv;
 
 fn fail(step: &str, got: &Response) -> ! {
     eprintln!("cqfit-session: step `{step}` got unexpected response: {got:?}");
@@ -78,7 +79,7 @@ fn usage_error(message: &str) -> ! {
 }
 
 fn connect(addr: &str) -> Client {
-    match Client::connect_with_retry(addr, 50) {
+    match Client::connect_with(addr, RealEnv::arc(), 50) {
         Ok(mut c) => {
             // The scripted fits legitimately run long on large examples;
             // no fixed per-request deadline fits them all.
@@ -177,25 +178,6 @@ fn run_metrics(addr: &str) -> ! {
         println!("recent events:");
         for e in &snapshot.events {
             println!("  [{}ns] {}: {}", e.at_ns, e.kind, e.detail);
-        }
-    }
-    if !snapshot.spans.is_empty() {
-        println!("recent spans:");
-        for s in &snapshot.spans {
-            let workspace = s.workspace.as_deref().unwrap_or("-");
-            let request_id = s
-                .request_id
-                .map_or_else(|| "-".to_string(), |id| id.to_string());
-            println!(
-                "  {} ws {} id {} decode {}ns dispatch {}ns reply {}ns total {}ns",
-                s.op,
-                workspace,
-                request_id,
-                s.decoded_ns.saturating_sub(s.start_ns),
-                s.dispatched_ns.saturating_sub(s.decoded_ns),
-                s.replied_ns.saturating_sub(s.dispatched_ns),
-                s.replied_ns.saturating_sub(s.start_ns),
-            );
         }
     }
     std::process::exit(0);

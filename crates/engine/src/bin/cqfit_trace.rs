@@ -21,6 +21,7 @@
 //! file instead of stdout.
 
 use cqfit_engine::{Client, Request, Response};
+use cqfit_env::RealEnv;
 use cqfit_obs::TraceSpan;
 use std::io::Write;
 
@@ -50,7 +51,7 @@ fn spans_from_journal(dir: &str) -> Vec<TraceSpan> {
 
 /// Fetches the live trace ring of a running server.
 fn spans_from_server(addr: &str) -> Vec<TraceSpan> {
-    let mut client = match Client::connect_with_retry(addr, 10) {
+    let mut client = match Client::connect_with(addr, RealEnv::arc(), 10) {
         Ok(c) => c,
         Err(e) => fail(&format!("cannot connect to {addr}: {e}")),
     };

@@ -68,7 +68,7 @@ pub struct Client {
     timeout: Option<Duration>,
     retry: RetryPolicy,
     /// The client-side metrics registry: retry/reconnect/backoff
-    /// counters, plus the trace-span ring the tracer feeds.
+    /// counters, plus the trace ring the tracer feeds.
     registry: Arc<Registry>,
     /// Client-side causal tracer (PR 10): every logical call roots a
     /// trace, every attempt is a sibling span under it, and the attempt's
@@ -107,7 +107,7 @@ impl Client {
         }
     }
 
-    /// The client-side tracer — its span ring (via [`Client::registry`])
+    /// The client-side tracer — its trace ring (via [`Client::registry`])
     /// holds the `client.request` / `client.attempt` spans of recent
     /// calls.
     pub fn tracer(&self) -> &Tracer {
@@ -122,47 +122,28 @@ impl Client {
         &self.registry
     }
 
-    /// Connects to `addr` (e.g. `127.0.0.1:7878`) over the real network.
+    /// Connects to `addr` (e.g. `127.0.0.1:7878`) over the real network,
+    /// single attempt.
     ///
     /// # Errors
     /// Propagates the connection failure.
     pub fn connect(addr: &str) -> io::Result<Client> {
-        Client::connect_with(addr, RealEnv::arc())
+        Client::connect_with(addr, RealEnv::arc(), 1)
     }
 
     /// Connects through an explicit environment (the simulator passes a
     /// [`SimEnv`](../../cqfit_sim/struct.SimEnv.html) whose `net()` is a
-    /// `SimNet`), single attempt.
-    ///
-    /// # Errors
-    /// Propagates the connection failure.
-    pub fn connect_with(addr: &str, env: Arc<dyn Env>) -> io::Result<Client> {
-        let mut client = Client::new(addr, env);
-        client.ensure_connected()?;
-        Ok(client)
-    }
-
-    /// Connects with retries (the server may still be binding), backing
-    /// off exponentially with jitter between attempts — and, unlike the
-    /// pre-PR 7 version, never sleeping *after* the final failure.
+    /// `SimNet`) in up to `attempts` tries, for a server that may still
+    /// be binding.  Between tries it backs off exponentially with jitter
+    /// on the environment's clock (so simulated retries cost no real
+    /// time), and it never sleeps after the final failure.
     ///
     /// # Errors
     /// Returns the last connection failure after `attempts` tries.
-    pub fn connect_with_retry(addr: &str, attempts: u32) -> io::Result<Client> {
-        Client::connect_retrying(addr, RealEnv::arc(), attempts)
-    }
-
-    /// [`Client::connect_with_retry`] through an explicit environment:
-    /// backoff sleeps run on the injected clock, so simulated retries
-    /// cost no real time.
-    ///
-    /// # Errors
-    /// Returns the last connection failure after `attempts` tries.
-    pub fn connect_retrying(addr: &str, env: Arc<dyn Env>, attempts: u32) -> io::Result<Client> {
+    pub fn connect_with(addr: &str, env: Arc<dyn Env>, attempts: u32) -> io::Result<Client> {
         let mut client = Client::new(addr, env);
-        let attempts = attempts.max(1);
         let mut last = None;
-        for attempt in 0..attempts {
+        for attempt in 0..attempts.max(1) {
             if attempt > 0 {
                 let delay = client.backoff_delay(attempt - 1);
                 client.registry.client_backoff_sleeps.inc();

@@ -3,23 +3,26 @@
 //! Requests and responses are JSON objects, one per line on the wire
 //! (JSONL); the in-process [`crate::Engine`] consumes the same [`Request`]
 //! values directly.  Every request object carries an `"op"` tag; every
-//! response carries `"ok"` (`true`/`false`) plus op-specific fields.
-//! Examples travel either as structured JSON (the
-//! `cqfit_data::serde_impls` shape, self-describing with their schema) or
-//! as the textual fact format of [`cqfit_data::parse_example`] (parsed
-//! against the workspace schema; parse errors come back with the
+//! response carries `"ok"` (`true`/`false`) plus, on success, a `"kind"`
+//! tag and op-specific fields.  Examples travel either as structured JSON
+//! (the `cqfit_data::serde_impls` shape, self-describing with their
+//! schema) or as the textual fact format of [`cqfit_data::parse_example`]
+//! (parsed against the workspace schema; parse errors come back with the
 //! offending line and token).
 //!
-//! A scripted session:
-//!
-//! ```text
-//! → {"op":"create_workspace","workspace":"w","schema":{"relations":[{"name":"R","arity":2}]},"arity":0}
-//! ← {"ok":true,"workspace":"w"}
-//! → {"op":"add_example","workspace":"w","polarity":"positive","text":"R(a,b)\nR(b,c)\nR(c,a)"}
-//! ← {"ok":true,"id":0,"polarity":"positive"}
-//! → {"op":"fit","workspace":"w","class":"cq","mode":"minimized"}
-//! ← {"ok":true,"found":true,"query":"q() :- …","size":…,"query_json":{…}}
-//! ```
+//! Each variant's wire form is declared once, as a row of the wire table
+//! at the end of this file: `Variant { fields… } => "wire_name"`.  The
+//! `wire_table!` macro turns the rows into [`Request::op`] and the
+//! `Serialize` / `Deserialize` impls of both enums.  A row writes its tag
+//! first and then its fields in row order, each under its own name; the
+//! private `Field` trait says how a field sits in the object (a required
+//! field is always written and must be present, an `Option` field is
+//! written only when set, an example sits under `example` or `text`, and
+//! fitting, statistics and metrics snapshot fields have hand-written
+//! impls).  Decoding reads the fields in the same order, so the first
+//! missing or malformed field is the one reported.  Only
+//! [`Response::Error`] sits outside the table.
+//! The exact text of every variant is pinned by `tests/wire_golden.txt`.
 
 use cqfit_data::{Example, Schema};
 use cqfit_obs::{TraceContext, TraceSpan};
@@ -36,25 +39,6 @@ pub enum Polarity {
     Negative,
 }
 
-impl Polarity {
-    fn as_str(self) -> &'static str {
-        match self {
-            Polarity::Positive => "positive",
-            Polarity::Negative => "negative",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, JsonError> {
-        match s {
-            "positive" => Ok(Polarity::Positive),
-            "negative" => Ok(Polarity::Negative),
-            other => Err(JsonError::semantic(format!(
-                "unknown polarity `{other}` (expected `positive` or `negative`)"
-            ))),
-        }
-    }
-}
-
 /// The query class a fitting question is asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryClass {
@@ -64,25 +48,6 @@ pub enum QueryClass {
     Ucq,
 }
 
-impl QueryClass {
-    fn as_str(self) -> &'static str {
-        match self {
-            QueryClass::Cq => "cq",
-            QueryClass::Ucq => "ucq",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, JsonError> {
-        match s {
-            "cq" => Ok(QueryClass::Cq),
-            "ucq" => Ok(QueryClass::Ucq),
-            other => Err(JsonError::semantic(format!(
-                "unknown query class `{other}` (expected `cq` or `ucq`)"
-            ))),
-        }
-    }
-}
-
 /// Whether a fitting is returned as constructed or minimized (cored).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FitMode {
@@ -90,25 +55,6 @@ pub enum FitMode {
     Plain,
     /// The cored, equivalent construction.
     Minimized,
-}
-
-impl FitMode {
-    fn as_str(self) -> &'static str {
-        match self {
-            FitMode::Plain => "plain",
-            FitMode::Minimized => "minimized",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, JsonError> {
-        match s {
-            "plain" => Ok(FitMode::Plain),
-            "minimized" => Ok(FitMode::Minimized),
-            other => Err(JsonError::semantic(format!(
-                "unknown fit mode `{other}` (expected `plain` or `minimized`)"
-            ))),
-        }
-    }
 }
 
 /// An example in a request: structured JSON or the textual fact format.
@@ -186,7 +132,7 @@ pub enum Request {
     Stats,
     /// A full metrics snapshot from the engine's `cqfit-obs` registry:
     /// counters, gauges, latency-histogram summaries, and the bounded
-    /// event/span rings.
+    /// event ring.
     Metrics,
     /// Forces snapshot + log-compaction of every workspace and syncs the
     /// store.  Errors when the engine has no store.
@@ -271,25 +217,8 @@ impl Request {
     /// The wire name of this request's operation (the `"op"` field of
     /// its JSON form) — the span label used by request tracing.
     pub fn op(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::CreateWorkspace { .. } => "create_workspace",
-            Request::DropWorkspace { .. } => "drop_workspace",
-            Request::ListWorkspaces => "list_workspaces",
-            Request::WorkspaceInfo { .. } => "workspace_info",
-            Request::AddExample { .. } => "add_example",
-            Request::RemoveExample { .. } => "remove_example",
-            Request::FittingExists { .. } => "fitting_exists",
-            Request::Fit { .. } => "fit",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::Persist => "persist",
-            Request::Recover => "recover",
-            Request::StoreInfo => "store_info",
-            Request::Shutdown => "shutdown",
-            Request::TraceDump => "trace_dump",
-            Request::SlowRequests { .. } => "slow_requests",
-        }
+        self.wire_name()
+            .expect("every request variant is a wire-table row")
     }
 
     /// The workspace this request targets, if any (used for the idempotency
@@ -313,166 +242,6 @@ impl Request {
             | Request::Shutdown
             | Request::TraceDump
             | Request::SlowRequests { .. } => None,
-        }
-    }
-}
-
-impl Serialize for Request {
-    fn to_json(&self) -> Json {
-        match self {
-            Request::Ping => Json::obj([("op", Json::str("ping"))]),
-            Request::CreateWorkspace {
-                workspace,
-                schema,
-                arity,
-            } => Json::obj([
-                ("op", Json::str("create_workspace")),
-                ("workspace", Json::str(workspace)),
-                ("schema", schema.to_json()),
-                ("arity", Json::Int(*arity as i64)),
-            ]),
-            Request::DropWorkspace { workspace } => Json::obj([
-                ("op", Json::str("drop_workspace")),
-                ("workspace", Json::str(workspace)),
-            ]),
-            Request::ListWorkspaces => Json::obj([("op", Json::str("list_workspaces"))]),
-            Request::WorkspaceInfo { workspace } => Json::obj([
-                ("op", Json::str("workspace_info")),
-                ("workspace", Json::str(workspace)),
-            ]),
-            Request::AddExample {
-                workspace,
-                polarity,
-                example,
-            } => {
-                let mut fields = vec![
-                    ("op", Json::str("add_example")),
-                    ("workspace", Json::str(workspace)),
-                    ("polarity", Json::str(polarity.as_str())),
-                ];
-                match example {
-                    ExamplePayload::Structured(e) => fields.push(("example", e.to_json())),
-                    ExamplePayload::Text(t) => fields.push(("text", Json::str(t))),
-                }
-                Json::obj(fields)
-            }
-            Request::RemoveExample {
-                workspace,
-                polarity,
-                id,
-            } => Json::obj([
-                ("op", Json::str("remove_example")),
-                ("workspace", Json::str(workspace)),
-                ("polarity", Json::str(polarity.as_str())),
-                ("id", id.to_json()),
-            ]),
-            Request::FittingExists { workspace, class } => Json::obj([
-                ("op", Json::str("fitting_exists")),
-                ("workspace", Json::str(workspace)),
-                ("class", Json::str(class.as_str())),
-            ]),
-            Request::Fit {
-                workspace,
-                class,
-                mode,
-            } => Json::obj([
-                ("op", Json::str("fit")),
-                ("workspace", Json::str(workspace)),
-                ("class", Json::str(class.as_str())),
-                ("mode", Json::str(mode.as_str())),
-            ]),
-            Request::Stats => Json::obj([("op", Json::str("stats"))]),
-            Request::Metrics => Json::obj([("op", Json::str("metrics"))]),
-            Request::Persist => Json::obj([("op", Json::str("persist"))]),
-            Request::Recover => Json::obj([("op", Json::str("recover"))]),
-            Request::StoreInfo => Json::obj([("op", Json::str("store_info"))]),
-            Request::Shutdown => Json::obj([("op", Json::str("shutdown"))]),
-            Request::TraceDump => Json::obj([("op", Json::str("trace_dump"))]),
-            Request::SlowRequests { over_us } => {
-                let mut fields = vec![("op", Json::str("slow_requests"))];
-                if let Some(over_us) = over_us {
-                    fields.push(("over_us", over_us.to_json()));
-                }
-                Json::obj(fields)
-            }
-        }
-    }
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, JsonError> {
-    String::from_json(v.req(key)?)
-}
-
-impl Deserialize for Request {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let op = req_str(v, "op")?;
-        match op.as_str() {
-            "ping" => Ok(Request::Ping),
-            "create_workspace" => Ok(Request::CreateWorkspace {
-                workspace: req_str(v, "workspace")?,
-                schema: Schema::from_json(v.req("schema")?)?,
-                arity: usize::from_json(v.req("arity")?)?,
-            }),
-            "drop_workspace" => Ok(Request::DropWorkspace {
-                workspace: req_str(v, "workspace")?,
-            }),
-            "list_workspaces" => Ok(Request::ListWorkspaces),
-            "workspace_info" => Ok(Request::WorkspaceInfo {
-                workspace: req_str(v, "workspace")?,
-            }),
-            "add_example" => {
-                let example = match (v.get("example"), v.get("text")) {
-                    (Some(e), None) => ExamplePayload::Structured(Example::from_json(e)?),
-                    (None, Some(t)) => ExamplePayload::Text(
-                        t.as_str()
-                            .ok_or_else(|| JsonError::mismatch("string", t))?
-                            .to_string(),
-                    ),
-                    (Some(_), Some(_)) => {
-                        return Err(JsonError::semantic(
-                            "give either `example` (structured) or `text`, not both",
-                        ))
-                    }
-                    (None, None) => {
-                        return Err(JsonError::semantic(
-                            "missing example: give `example` (structured) or `text`",
-                        ))
-                    }
-                };
-                Ok(Request::AddExample {
-                    workspace: req_str(v, "workspace")?,
-                    polarity: Polarity::parse(&req_str(v, "polarity")?)?,
-                    example,
-                })
-            }
-            "remove_example" => Ok(Request::RemoveExample {
-                workspace: req_str(v, "workspace")?,
-                polarity: Polarity::parse(&req_str(v, "polarity")?)?,
-                id: u64::from_json(v.req("id")?)?,
-            }),
-            "fitting_exists" => Ok(Request::FittingExists {
-                workspace: req_str(v, "workspace")?,
-                class: QueryClass::parse(&req_str(v, "class")?)?,
-            }),
-            "fit" => Ok(Request::Fit {
-                workspace: req_str(v, "workspace")?,
-                class: QueryClass::parse(&req_str(v, "class")?)?,
-                mode: FitMode::parse(&req_str(v, "mode")?)?,
-            }),
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "persist" => Ok(Request::Persist),
-            "recover" => Ok(Request::Recover),
-            "store_info" => Ok(Request::StoreInfo),
-            "shutdown" => Ok(Request::Shutdown),
-            "trace_dump" => Ok(Request::TraceDump),
-            "slow_requests" => Ok(Request::SlowRequests {
-                over_us: match v.get("over_us") {
-                    Some(o) => Some(u64::from_json(o)?),
-                    None => None,
-                },
-            }),
-            other => Err(JsonError::semantic(format!("unknown op `{other}`"))),
         }
     }
 }
@@ -604,7 +373,7 @@ pub enum Response {
     /// Reply to [`Request::Stats`].
     Stats(EngineStats),
     /// Reply to [`Request::Metrics`]: the full `cqfit-obs` registry
-    /// snapshot (counters, gauges, histogram summaries, event/span rings).
+    /// snapshot (counters, gauges, histogram summaries, event ring).
     Metrics(cqfit_obs::Snapshot),
     /// Reply to [`Request::Persist`].
     Persisted {
@@ -710,503 +479,457 @@ impl Response {
     }
 }
 
-impl Serialize for Response {
-    fn to_json(&self) -> Json {
-        let ok = |fields: Vec<(&'static str, Json)>| {
-            let mut all = vec![("ok", Json::Bool(true))];
-            all.extend(fields);
-            Json::obj(all)
-        };
-        match self {
-            Response::Pong => ok(vec![("kind", Json::str("pong"))]),
-            Response::WorkspaceCreated { workspace } => ok(vec![
-                ("kind", Json::str("workspace_created")),
-                ("workspace", Json::str(workspace)),
-            ]),
-            Response::WorkspaceDropped { workspace, existed } => ok(vec![
-                ("kind", Json::str("workspace_dropped")),
-                ("workspace", Json::str(workspace)),
-                ("existed", Json::Bool(*existed)),
-            ]),
-            Response::Workspaces { names } => ok(vec![
-                ("kind", Json::str("workspaces")),
-                ("names", names.clone().to_json()),
-            ]),
-            Response::Info {
-                workspace,
-                positives,
-                negatives,
-                arity,
-                revision,
-                product_fresh,
-            } => ok(vec![
-                ("kind", Json::str("info")),
-                ("workspace", Json::str(workspace)),
-                ("positives", Json::Int(*positives as i64)),
-                ("negatives", Json::Int(*negatives as i64)),
-                ("arity", Json::Int(*arity as i64)),
-                ("revision", revision.to_json()),
-                ("product_fresh", Json::Bool(*product_fresh)),
-            ]),
-            Response::ExampleAdded { polarity, id } => ok(vec![
-                ("kind", Json::str("example_added")),
-                ("polarity", Json::str(polarity.as_str())),
-                ("id", id.to_json()),
-            ]),
-            Response::ExampleRemoved {
-                polarity,
-                id,
-                removed,
-            } => ok(vec![
-                ("kind", Json::str("example_removed")),
-                ("polarity", Json::str(polarity.as_str())),
-                ("id", id.to_json()),
-                ("removed", Json::Bool(*removed)),
-            ]),
-            Response::Exists { class, exists } => ok(vec![
-                ("kind", Json::str("exists")),
-                ("class", Json::str(class.as_str())),
-                ("exists", Json::Bool(*exists)),
-            ]),
-            Response::Fitting { class, mode, query } => {
-                let mut fields = vec![
-                    ("kind", Json::str("fitting")),
-                    ("class", Json::str(class.as_str())),
-                    ("mode", Json::str(mode.as_str())),
-                    ("found", Json::Bool(query.is_some())),
-                ];
-                if let Some(q) = query {
-                    fields.push(("query", Json::str(q.display())));
-                    fields.push(("size", Json::Int(q.size() as i64)));
-                    let qj = match q {
-                        FitQuery::Cq(q) => q.to_json(),
-                        FitQuery::Ucq(q) => q.to_json(),
-                    };
-                    fields.push(("query_json", qj));
-                }
-                ok(fields)
-            }
-            Response::Stats(stats) => {
-                let mut fields = vec![
-                    ("kind", Json::str("stats")),
-                    ("requests", stats.requests.to_json()),
-                    ("workspaces", Json::Int(stats.workspaces as i64)),
-                    ("uptime_ms", stats.uptime_ms.to_json()),
-                    ("pipeline_window", Json::Int(stats.pipeline_window as i64)),
-                    ("memo_workspaces", Json::Int(stats.memo_workspaces as i64)),
-                    ("memo_entries", stats.memo_entries.to_json()),
-                    ("caching", Json::Bool(stats.cache.is_some())),
-                ];
-                if let Some(c) = &stats.cache {
-                    fields.push((
-                        "cache",
-                        Json::obj([
-                            ("hom_hits", c.hom_hits.to_json()),
-                            ("hom_misses", c.hom_misses.to_json()),
-                            ("core_hits", c.core_hits.to_json()),
-                            ("core_misses", c.core_misses.to_json()),
-                            ("hom_entries", Json::Int(c.hom_entries as i64)),
-                            ("core_entries", Json::Int(c.core_entries as i64)),
-                            ("hit_rate", Json::Float(c.hit_rate())),
-                        ]),
-                    ));
-                }
-                if let Some(s) = &stats.store {
-                    fields.push((
-                        "store",
-                        Json::obj([
-                            ("workspaces", Json::Int(s.workspaces as i64)),
-                            ("records", s.records.to_json()),
-                            ("bytes", s.bytes.to_json()),
-                            ("compactions", s.compactions.to_json()),
-                            ("bytes_compacted", s.bytes_compacted.to_json()),
-                        ]),
-                    ));
-                }
-                fields.push((
-                    "revisions",
-                    Json::Obj(
-                        stats
-                            .revisions
-                            .iter()
-                            .map(|(name, rev)| (name.clone(), rev.to_json()))
-                            .collect(),
-                    ),
-                ));
-                ok(fields)
-            }
-            Response::Metrics(snap) => {
-                let counters = Json::Obj(
-                    snap.counters
-                        .iter()
-                        .map(|(name, value)| (name.clone(), value.to_json()))
-                        .collect(),
-                );
-                let gauges = Json::Obj(
-                    snap.gauges
-                        .iter()
-                        .map(|(name, value)| (name.clone(), Json::Int(*value)))
-                        .collect(),
-                );
-                let histograms = Json::Obj(
-                    snap.histograms
-                        .iter()
-                        .map(|(name, h)| {
-                            (
-                                name.clone(),
-                                Json::obj([
-                                    ("count", h.count.to_json()),
-                                    ("sum", h.sum.to_json()),
-                                    ("max", h.max.to_json()),
-                                    ("p50", h.p50.to_json()),
-                                    ("p90", h.p90.to_json()),
-                                    ("p99", h.p99.to_json()),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                );
-                let events = Json::Arr(
-                    snap.events
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("at_ns", e.at_ns.to_json()),
-                                ("kind", Json::str(&e.kind)),
-                                ("detail", Json::str(&e.detail)),
-                            ])
-                        })
-                        .collect(),
-                );
-                let spans = Json::Arr(
-                    snap.spans
-                        .iter()
-                        .map(|s| {
-                            let mut fields = vec![("op", Json::str(&s.op))];
-                            if let Some(ws) = &s.workspace {
-                                fields.push(("workspace", Json::str(ws)));
-                            }
-                            if let Some(id) = s.request_id {
-                                fields.push(("request_id", id.to_json()));
-                            }
-                            fields.push(("start_ns", s.start_ns.to_json()));
-                            fields.push(("decoded_ns", s.decoded_ns.to_json()));
-                            fields.push(("dispatched_ns", s.dispatched_ns.to_json()));
-                            fields.push(("replied_ns", s.replied_ns.to_json()));
-                            Json::obj(fields)
-                        })
-                        .collect(),
-                );
-                ok(vec![
-                    ("kind", Json::str("metrics")),
-                    ("counters", counters),
-                    ("gauges", gauges),
-                    ("histograms", histograms),
-                    ("events", events),
-                    ("spans", spans),
-                ])
-            }
-            Response::Persisted {
-                workspaces,
-                bytes_before,
-                bytes_after,
-            } => ok(vec![
-                ("kind", Json::str("persisted")),
-                ("workspaces", Json::Int(*workspaces as i64)),
-                ("bytes_before", bytes_before.to_json()),
-                ("bytes_after", bytes_after.to_json()),
-            ]),
-            Response::Recovery {
-                workspaces,
-                records_replayed,
-                torn_bytes_dropped,
-                bytes_compacted,
-            } => ok(vec![
-                ("kind", Json::str("recovery")),
-                ("workspaces", Json::Int(*workspaces as i64)),
-                ("records_replayed", records_replayed.to_json()),
-                ("torn_bytes_dropped", torn_bytes_dropped.to_json()),
-                ("bytes_compacted", bytes_compacted.to_json()),
-            ]),
-            Response::StoreInfo {
-                dir,
-                workspaces,
-                records,
-                bytes,
-                compact_after,
-                fsync,
-            } => ok(vec![
-                ("kind", Json::str("store_info")),
-                ("dir", Json::str(dir)),
-                ("workspaces", Json::Int(*workspaces as i64)),
-                ("records", records.to_json()),
-                ("bytes", bytes.to_json()),
-                ("compact_after", Json::Int(*compact_after as i64)),
-                ("fsync", Json::Bool(*fsync)),
-            ]),
-            Response::ShuttingDown => ok(vec![("kind", Json::str("shutting_down"))]),
-            Response::Traces { spans } => ok(vec![
-                ("kind", Json::str("traces")),
-                (
-                    "spans",
-                    Json::Arr(spans.iter().map(|s| s.to_json()).collect()),
-                ),
-            ]),
-            Response::Slow { spans } => ok(vec![
-                ("kind", Json::str("slow")),
-                (
-                    "spans",
-                    Json::Arr(spans.iter().map(|s| s.to_json()).collect()),
-                ),
-            ]),
-            Response::Error { message, line, col } => {
-                let mut fields = vec![("ok", Json::Bool(false)), ("error", Json::str(message))];
-                if let Some(line) = line {
-                    fields.push(("line", Json::Int(*line as i64)));
-                }
-                if let Some(col) = col {
-                    fields.push(("col", Json::Int(*col as i64)));
-                }
-                Json::Obj(
-                    fields
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), v))
-                        .collect(),
-                )
+// ---------------------------------------------------------------------
+// Wire codec
+// ---------------------------------------------------------------------
+
+/// Gives a two-valued enum its wire strings and the error for any other
+/// string.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal, $a:ident => $a_name:literal, $b:ident => $b_name:literal) => {
+        impl Serialize for $ty {
+            fn to_json(&self) -> Json {
+                Json::str(match self {
+                    $ty::$a => $a_name,
+                    $ty::$b => $b_name,
+                })
             }
         }
+
+        impl Deserialize for $ty {
+            fn from_json(v: &Json) -> Result<Self, JsonError> {
+                match v.as_str() {
+                    Some($a_name) => Ok($ty::$a),
+                    Some($b_name) => Ok($ty::$b),
+                    Some(other) => Err(JsonError::semantic(format!(
+                        "unknown {} `{other}` (expected `{}` or `{}`)",
+                        $what, $a_name, $b_name
+                    ))),
+                    None => Err(JsonError::mismatch("string", v)),
+                }
+            }
+        }
+    };
+}
+
+wire_enum!(Polarity, "polarity", Positive => "positive", Negative => "negative");
+wire_enum!(QueryClass, "query class", Cq => "cq", Ucq => "ucq");
+wire_enum!(FitMode, "fit mode", Plain => "plain", Minimized => "minimized");
+
+/// The key/value pairs of one JSON object under construction.
+type Fields = Vec<(&'static str, Json)>;
+
+/// How one field of a wire-table row sits in the row's JSON object.
+trait Field: Sized {
+    /// Appends the field to the object; `key` is the field's name in the
+    /// row.
+    fn put(&self, key: &'static str, out: &mut Fields);
+    /// Reads the field back from the whole object.
+    fn take(v: &Json, key: &str) -> Result<Self, JsonError>;
+}
+
+/// Required fields: always written, and must be present.
+macro_rules! required_fields {
+    ($($t:ty),* $(,)?) => {$(
+        impl Field for $t {
+            fn put(&self, key: &'static str, out: &mut Fields) {
+                out.push((key, self.to_json()));
+            }
+            fn take(v: &Json, key: &str) -> Result<Self, JsonError> {
+                <$t>::from_json(v.req(key)?)
+            }
+        }
+    )*};
+}
+
+required_fields!(
+    String,
+    bool,
+    u64,
+    usize,
+    Schema,
+    Vec<String>,
+    Vec<TraceSpan>,
+    Polarity,
+    QueryClass,
+    FitMode,
+);
+
+/// An optional field: written only when set, `None` when absent.
+impl Field for Option<u64> {
+    fn put(&self, key: &'static str, out: &mut Fields) {
+        out.extend(self.map(|value| (key, value.to_json())));
+    }
+    fn take(v: &Json, key: &str) -> Result<Self, JsonError> {
+        v.get(key).map(u64::from_json).transpose()
+    }
+}
+
+/// An example sits under `example` (structured) or `text`, never both.
+impl Field for ExamplePayload {
+    fn put(&self, _: &'static str, out: &mut Fields) {
+        out.push(match self {
+            ExamplePayload::Structured(e) => ("example", e.to_json()),
+            ExamplePayload::Text(t) => ("text", Json::str(t)),
+        });
+    }
+    fn take(v: &Json, _: &str) -> Result<Self, JsonError> {
+        match (v.get("example"), v.get("text")) {
+            (Some(e), None) => Ok(ExamplePayload::Structured(Example::from_json(e)?)),
+            (None, Some(t)) => Ok(ExamplePayload::Text(String::from_json(t)?)),
+            (Some(_), Some(_)) => Err(JsonError::semantic(
+                "give either `example` (structured) or `text`, not both",
+            )),
+            (None, None) => Err(JsonError::semantic(
+                "missing example: give `example` (structured) or `text`",
+            )),
+        }
+    }
+}
+
+/// A fitting sits as `found` plus, when found, its display text, size
+/// and JSON form, read back as a CQ or a UCQ per the reply's `class`.
+impl Field for Option<FitQuery> {
+    fn put(&self, _: &'static str, out: &mut Fields) {
+        out.push(("found", Json::Bool(self.is_some())));
+        if let Some(q) = self {
+            out.push(("query", Json::str(q.display())));
+            out.push(("size", q.size().to_json()));
+            let query_json = match q {
+                FitQuery::Cq(q) => q.to_json(),
+                FitQuery::Ucq(q) => q.to_json(),
+            };
+            out.push(("query_json", query_json));
+        }
+    }
+    fn take(v: &Json, _: &str) -> Result<Self, JsonError> {
+        if !bool::take(v, "found")? {
+            return Ok(None);
+        }
+        let query_json = v.req("query_json")?;
+        Ok(Some(match QueryClass::take(v, "class")? {
+            QueryClass::Cq => FitQuery::Cq(Cq::from_json(query_json)?),
+            QueryClass::Ucq => FitQuery::Ucq(Ucq::from_json(query_json)?),
+        }))
+    }
+}
+
+/// A `(name, value)` list as a JSON object.
+fn object_of<T>(pairs: &[(String, T)], value: impl Fn(&T) -> Json) -> Json {
+    Json::Obj(
+        pairs
+            .iter()
+            .map(|(name, v)| (name.clone(), value(v)))
+            .collect(),
+    )
+}
+
+/// A JSON object read back as a `(name, value)` list.
+fn pairs_of<T>(
+    v: &Json,
+    key: &str,
+    value: impl Fn(&Json) -> Result<T, JsonError>,
+) -> Result<Vec<(String, T)>, JsonError> {
+    let field = v.req(key)?;
+    field
+        .as_obj()
+        .ok_or_else(|| JsonError::mismatch("object", field))?
+        .iter()
+        .map(|(name, v)| Ok((name.clone(), value(v)?)))
+        .collect()
+}
+
+/// An integer that older replies may lack, read as zero when absent.
+fn zero_if_absent<T: Deserialize + Default>(v: &Json, key: &str) -> Result<T, JsonError> {
+    Ok(v.get(key)
+        .map(T::from_json)
+        .transpose()?
+        .unwrap_or_default())
+}
+
+/// Engine statistics sit flat in the reply, the cache and store parts
+/// as nested objects present only when configured.
+impl Field for EngineStats {
+    fn put(&self, _: &'static str, out: &mut Fields) {
+        out.extend([
+            ("requests", self.requests.to_json()),
+            ("workspaces", self.workspaces.to_json()),
+            ("uptime_ms", self.uptime_ms.to_json()),
+            ("pipeline_window", self.pipeline_window.to_json()),
+            ("memo_workspaces", self.memo_workspaces.to_json()),
+            ("memo_entries", self.memo_entries.to_json()),
+            ("caching", Json::Bool(self.cache.is_some())),
+        ]);
+        if let Some(c) = &self.cache {
+            let cache = Json::obj([
+                ("hom_hits", c.hom_hits.to_json()),
+                ("hom_misses", c.hom_misses.to_json()),
+                ("core_hits", c.core_hits.to_json()),
+                ("core_misses", c.core_misses.to_json()),
+                ("hom_entries", c.hom_entries.to_json()),
+                ("core_entries", c.core_entries.to_json()),
+                ("hit_rate", Json::Float(c.hit_rate())),
+            ]);
+            out.push(("cache", cache));
+        }
+        if let Some(s) = &self.store {
+            let store = Json::obj([
+                ("workspaces", s.workspaces.to_json()),
+                ("records", s.records.to_json()),
+                ("bytes", s.bytes.to_json()),
+                ("compactions", s.compactions.to_json()),
+                ("bytes_compacted", s.bytes_compacted.to_json()),
+            ]);
+            out.push(("store", store));
+        }
+        out.push(("revisions", object_of(&self.revisions, u64::to_json)));
+    }
+    fn take(v: &Json, _: &str) -> Result<Self, JsonError> {
+        let cache = match v.get("cache") {
+            Some(c) => Some(cqfit_hom::CacheStats {
+                hom_hits: u64::take(c, "hom_hits")?,
+                hom_misses: u64::take(c, "hom_misses")?,
+                core_hits: u64::take(c, "core_hits")?,
+                core_misses: u64::take(c, "core_misses")?,
+                hom_entries: usize::take(c, "hom_entries")?,
+                core_entries: usize::take(c, "core_entries")?,
+            }),
+            None => None,
+        };
+        let store = match v.get("store") {
+            Some(s) => Some(cqfit_store::StoreStats {
+                workspaces: usize::take(s, "workspaces")?,
+                records: u64::take(s, "records")?,
+                bytes: u64::take(s, "bytes")?,
+                compactions: u64::take(s, "compactions")?,
+                bytes_compacted: u64::take(s, "bytes_compacted")?,
+            }),
+            None => None,
+        };
+        let revisions = match v.get("revisions") {
+            Some(_) => pairs_of(v, "revisions", u64::from_json)?,
+            None => Vec::new(),
+        };
+        Ok(EngineStats {
+            requests: u64::take(v, "requests")?,
+            workspaces: usize::take(v, "workspaces")?,
+            uptime_ms: zero_if_absent(v, "uptime_ms")?,
+            pipeline_window: zero_if_absent(v, "pipeline_window")?,
+            memo_workspaces: zero_if_absent(v, "memo_workspaces")?,
+            memo_entries: zero_if_absent(v, "memo_entries")?,
+            cache,
+            store,
+            revisions,
+        })
+    }
+}
+
+/// A registry snapshot sits flat in the reply: counters, gauges and
+/// histogram summaries as objects keyed by metric name, and the event
+/// ring as an array.
+impl Field for cqfit_obs::Snapshot {
+    fn put(&self, _: &'static str, out: &mut Fields) {
+        let histogram = |h: &cqfit_obs::HistogramSummary| {
+            Json::obj([
+                ("count", h.count.to_json()),
+                ("sum", h.sum.to_json()),
+                ("max", h.max.to_json()),
+                ("p50", h.p50.to_json()),
+                ("p90", h.p90.to_json()),
+                ("p99", h.p99.to_json()),
+            ])
+        };
+        let events = self
+            .events
+            .iter()
+            .map(|e| {
+                Json::obj([
+                    ("at_ns", e.at_ns.to_json()),
+                    ("kind", Json::str(&e.kind)),
+                    ("detail", Json::str(&e.detail)),
+                ])
+            })
+            .collect();
+        out.extend([
+            ("counters", object_of(&self.counters, u64::to_json)),
+            ("gauges", object_of(&self.gauges, i64::to_json)),
+            ("histograms", object_of(&self.histograms, histogram)),
+            ("events", Json::Arr(events)),
+        ]);
+    }
+    fn take(v: &Json, _: &str) -> Result<Self, JsonError> {
+        let histogram = |h: &Json| {
+            Ok(cqfit_obs::HistogramSummary {
+                count: u64::take(h, "count")?,
+                sum: u64::take(h, "sum")?,
+                max: u64::take(h, "max")?,
+                p50: u64::take(h, "p50")?,
+                p90: u64::take(h, "p90")?,
+                p99: u64::take(h, "p99")?,
+            })
+        };
+        let counters = pairs_of(v, "counters", u64::from_json)?;
+        let gauges = pairs_of(v, "gauges", i64::from_json)?;
+        let histograms = pairs_of(v, "histograms", histogram)?;
+        let events = v.req("events")?;
+        let events = events
+            .as_arr()
+            .ok_or_else(|| JsonError::mismatch("array", events))?
+            .iter()
+            .map(|e| {
+                Ok(cqfit_obs::EventRecord {
+                    at_ns: u64::take(e, "at_ns")?,
+                    kind: String::take(e, "kind")?,
+                    detail: String::take(e, "detail")?,
+                })
+            })
+            .collect::<Result<_, JsonError>>()?;
+        Ok(cqfit_obs::Snapshot {
+            counters,
+            gauges,
+            histograms,
+            events,
+        })
+    }
+}
+
+/// The wire table: one row per variant, `Variant { fields… } =>
+/// "wire_name"` (or `Variant(field) => …` for a newtype variant).
+/// Generates the row's wire name, its encoder (the `$tag` key with the
+/// wire name, then each field in row order) and its decoder.
+macro_rules! wire_table {
+    (
+        $ty:ident by $tag:literal {
+            $($variant:ident $(($inner:ident))? $({ $($field:ident),* })? => $name:literal,)*
+        }
+    ) => {
+        impl $ty {
+            /// The wire name of this variant, `None` when it is not a
+            /// table row.
+            #[allow(unreachable_patterns)]
+            fn wire_name(&self) -> Option<&'static str> {
+                match self {
+                    $($ty::$variant { .. } => Some($name),)*
+                    _ => None,
+                }
+            }
+
+            /// Appends the tag and fields of this variant's row (nothing
+            /// when it is not a table row).
+            #[allow(unreachable_patterns)]
+            fn encode_row(&self, out: &mut Fields) {
+                let Some(name) = self.wire_name() else {
+                    return;
+                };
+                out.push(($tag, Json::str(name)));
+                match self {
+                    $($ty::$variant $(($inner))? $({ $($field),* })? => {
+                        $(Field::put($inner, stringify!($inner), out);)?
+                        $($(Field::put($field, stringify!($field), out);)*)?
+                    })*
+                    _ => {}
+                }
+            }
+
+            /// Decodes the row named `name`; `None` when no row has it.
+            fn decode_row(name: &str, v: &Json) -> Result<Option<Self>, JsonError> {
+                Ok(Some(match name {
+                    $($name => $ty::$variant
+                        $((Field::take(v, stringify!($inner))?))?
+                        $({ $($field: Field::take(v, stringify!($field))?),* })?,)*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
+}
+
+wire_table! {
+    Request by "op" {
+        Ping => "ping",
+        CreateWorkspace { workspace, schema, arity } => "create_workspace",
+        DropWorkspace { workspace } => "drop_workspace",
+        ListWorkspaces => "list_workspaces",
+        WorkspaceInfo { workspace } => "workspace_info",
+        AddExample { workspace, polarity, example } => "add_example",
+        RemoveExample { workspace, polarity, id } => "remove_example",
+        FittingExists { workspace, class } => "fitting_exists",
+        Fit { workspace, class, mode } => "fit",
+        Stats => "stats",
+        Metrics => "metrics",
+        Persist => "persist",
+        Recover => "recover",
+        StoreInfo => "store_info",
+        Shutdown => "shutdown",
+        TraceDump => "trace_dump",
+        SlowRequests { over_us } => "slow_requests",
+    }
+}
+
+wire_table! {
+    Response by "kind" {
+        Pong => "pong",
+        WorkspaceCreated { workspace } => "workspace_created",
+        WorkspaceDropped { workspace, existed } => "workspace_dropped",
+        Workspaces { names } => "workspaces",
+        Info { workspace, positives, negatives, arity, revision, product_fresh } => "info",
+        ExampleAdded { polarity, id } => "example_added",
+        ExampleRemoved { polarity, id, removed } => "example_removed",
+        Exists { class, exists } => "exists",
+        Fitting { class, mode, query } => "fitting",
+        Stats(stats) => "stats",
+        Metrics(snapshot) => "metrics",
+        Persisted { workspaces, bytes_before, bytes_after } => "persisted",
+        Recovery { workspaces, records_replayed, torn_bytes_dropped, bytes_compacted } => "recovery",
+        StoreInfo { dir, workspaces, records, bytes, compact_after, fsync } => "store_info",
+        ShuttingDown => "shutting_down",
+        Traces { spans } => "traces",
+        Slow { spans } => "slow",
+    }
+}
+
+impl Serialize for Request {
+    fn to_json(&self) -> Json {
+        let mut out = Fields::new();
+        self.encode_row(&mut out);
+        Json::obj(out)
+    }
+}
+
+impl Deserialize for Request {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let op = String::take(v, "op")?;
+        Request::decode_row(&op, v)?
+            .ok_or_else(|| JsonError::semantic(format!("unknown op `{op}`")))
+    }
+}
+
+impl Serialize for Response {
+    fn to_json(&self) -> Json {
+        let mut out = vec![("ok", Json::Bool(self.is_ok()))];
+        if let Response::Error { message, line, col } = self {
+            out.push(("error", Json::str(message)));
+            out.extend(line.map(|line| ("line", Json::Int(line as i64))));
+            out.extend(col.map(|col| ("col", Json::Int(col as i64))));
+        } else {
+            self.encode_row(&mut out);
+        }
+        Json::obj(out)
     }
 }
 
 impl Deserialize for Response {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let ok = bool::from_json(v.req("ok")?)?;
-        if !ok {
+        if !bool::take(v, "ok")? {
             return Ok(Response::Error {
-                message: req_str(v, "error")?,
+                message: String::take(v, "error")?,
                 line: v.get("line").and_then(Json::as_i64).map(|l| l as usize),
                 col: v.get("col").and_then(Json::as_i64).map(|c| c as usize),
             });
         }
-        match req_str(v, "kind")?.as_str() {
-            "pong" => Ok(Response::Pong),
-            "workspace_created" => Ok(Response::WorkspaceCreated {
-                workspace: req_str(v, "workspace")?,
-            }),
-            "workspace_dropped" => Ok(Response::WorkspaceDropped {
-                workspace: req_str(v, "workspace")?,
-                existed: bool::from_json(v.req("existed")?)?,
-            }),
-            "workspaces" => Ok(Response::Workspaces {
-                names: Vec::<String>::from_json(v.req("names")?)?,
-            }),
-            "info" => Ok(Response::Info {
-                workspace: req_str(v, "workspace")?,
-                positives: usize::from_json(v.req("positives")?)?,
-                negatives: usize::from_json(v.req("negatives")?)?,
-                arity: usize::from_json(v.req("arity")?)?,
-                revision: u64::from_json(v.req("revision")?)?,
-                product_fresh: bool::from_json(v.req("product_fresh")?)?,
-            }),
-            "example_added" => Ok(Response::ExampleAdded {
-                polarity: Polarity::parse(&req_str(v, "polarity")?)?,
-                id: u64::from_json(v.req("id")?)?,
-            }),
-            "example_removed" => Ok(Response::ExampleRemoved {
-                polarity: Polarity::parse(&req_str(v, "polarity")?)?,
-                id: u64::from_json(v.req("id")?)?,
-                removed: bool::from_json(v.req("removed")?)?,
-            }),
-            "exists" => Ok(Response::Exists {
-                class: QueryClass::parse(&req_str(v, "class")?)?,
-                exists: bool::from_json(v.req("exists")?)?,
-            }),
-            "fitting" => {
-                let class = QueryClass::parse(&req_str(v, "class")?)?;
-                let mode = FitMode::parse(&req_str(v, "mode")?)?;
-                let found = bool::from_json(v.req("found")?)?;
-                let query = if found {
-                    let qj = v.req("query_json")?;
-                    Some(match class {
-                        QueryClass::Cq => FitQuery::Cq(Cq::from_json(qj)?),
-                        QueryClass::Ucq => FitQuery::Ucq(Ucq::from_json(qj)?),
-                    })
-                } else {
-                    None
-                };
-                Ok(Response::Fitting { class, mode, query })
-            }
-            "stats" => {
-                let cache = match v.get("cache") {
-                    Some(c) => Some(cqfit_hom::CacheStats {
-                        hom_hits: u64::from_json(c.req("hom_hits")?)?,
-                        hom_misses: u64::from_json(c.req("hom_misses")?)?,
-                        core_hits: u64::from_json(c.req("core_hits")?)?,
-                        core_misses: u64::from_json(c.req("core_misses")?)?,
-                        hom_entries: usize::from_json(c.req("hom_entries")?)?,
-                        core_entries: usize::from_json(c.req("core_entries")?)?,
-                    }),
-                    None => None,
-                };
-                let store = match v.get("store") {
-                    Some(s) => Some(cqfit_store::StoreStats {
-                        workspaces: usize::from_json(s.req("workspaces")?)?,
-                        records: u64::from_json(s.req("records")?)?,
-                        bytes: u64::from_json(s.req("bytes")?)?,
-                        compactions: u64::from_json(s.req("compactions")?)?,
-                        bytes_compacted: u64::from_json(s.req("bytes_compacted")?)?,
-                    }),
-                    None => None,
-                };
-                let revisions = match v.get("revisions") {
-                    Some(r) => r
-                        .as_obj()
-                        .ok_or_else(|| JsonError::mismatch("object", r))?
-                        .iter()
-                        .map(|(name, rev)| Ok((name.clone(), u64::from_json(rev)?)))
-                        .collect::<Result<Vec<_>, JsonError>>()?,
-                    None => Vec::new(),
-                };
-                Ok(Response::Stats(EngineStats {
-                    requests: u64::from_json(v.req("requests")?)?,
-                    workspaces: usize::from_json(v.req("workspaces")?)?,
-                    // Absent in pre-PR6 captures: default to zero.
-                    uptime_ms: match v.get("uptime_ms") {
-                        Some(u) => u64::from_json(u)?,
-                        None => 0,
-                    },
-                    // Absent in pre-PR9 captures: default to zero.
-                    pipeline_window: match v.get("pipeline_window") {
-                        Some(w) => usize::from_json(w)?,
-                        None => 0,
-                    },
-                    memo_workspaces: match v.get("memo_workspaces") {
-                        Some(w) => usize::from_json(w)?,
-                        None => 0,
-                    },
-                    memo_entries: match v.get("memo_entries") {
-                        Some(e) => u64::from_json(e)?,
-                        None => 0,
-                    },
-                    cache,
-                    store,
-                    revisions,
-                }))
-            }
-            "metrics" => {
-                let obj_of = |key: &str| -> Result<&[(String, Json)], JsonError> {
-                    let field = v.req(key)?;
-                    field
-                        .as_obj()
-                        .ok_or_else(|| JsonError::mismatch("object", field))
-                };
-                let arr_of = |key: &str| -> Result<&[Json], JsonError> {
-                    let field = v.req(key)?;
-                    field
-                        .as_arr()
-                        .ok_or_else(|| JsonError::mismatch("array", field))
-                };
-                let counters = obj_of("counters")?
-                    .iter()
-                    .map(|(name, value)| Ok((name.clone(), u64::from_json(value)?)))
-                    .collect::<Result<Vec<_>, JsonError>>()?;
-                let gauges = obj_of("gauges")?
-                    .iter()
-                    .map(|(name, value)| Ok((name.clone(), i64::from_json(value)?)))
-                    .collect::<Result<Vec<_>, JsonError>>()?;
-                let histograms = obj_of("histograms")?
-                    .iter()
-                    .map(|(name, h)| {
-                        Ok((
-                            name.clone(),
-                            cqfit_obs::HistogramSummary {
-                                count: u64::from_json(h.req("count")?)?,
-                                sum: u64::from_json(h.req("sum")?)?,
-                                max: u64::from_json(h.req("max")?)?,
-                                p50: u64::from_json(h.req("p50")?)?,
-                                p90: u64::from_json(h.req("p90")?)?,
-                                p99: u64::from_json(h.req("p99")?)?,
-                            },
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, JsonError>>()?;
-                let events = arr_of("events")?
-                    .iter()
-                    .map(|e| {
-                        Ok(cqfit_obs::EventRecord {
-                            at_ns: u64::from_json(e.req("at_ns")?)?,
-                            kind: req_str(e, "kind")?,
-                            detail: req_str(e, "detail")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, JsonError>>()?;
-                let spans = arr_of("spans")?
-                    .iter()
-                    .map(|s| {
-                        Ok(cqfit_obs::SpanRecord {
-                            op: req_str(s, "op")?,
-                            workspace: match s.get("workspace") {
-                                Some(ws) => Some(String::from_json(ws)?),
-                                None => None,
-                            },
-                            request_id: match s.get("request_id") {
-                                Some(id) => Some(u64::from_json(id)?),
-                                None => None,
-                            },
-                            start_ns: u64::from_json(s.req("start_ns")?)?,
-                            decoded_ns: u64::from_json(s.req("decoded_ns")?)?,
-                            dispatched_ns: u64::from_json(s.req("dispatched_ns")?)?,
-                            replied_ns: u64::from_json(s.req("replied_ns")?)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, JsonError>>()?;
-                Ok(Response::Metrics(cqfit_obs::Snapshot {
-                    counters,
-                    gauges,
-                    histograms,
-                    events,
-                    spans,
-                }))
-            }
-            "persisted" => Ok(Response::Persisted {
-                workspaces: usize::from_json(v.req("workspaces")?)?,
-                bytes_before: u64::from_json(v.req("bytes_before")?)?,
-                bytes_after: u64::from_json(v.req("bytes_after")?)?,
-            }),
-            "recovery" => Ok(Response::Recovery {
-                workspaces: usize::from_json(v.req("workspaces")?)?,
-                records_replayed: u64::from_json(v.req("records_replayed")?)?,
-                torn_bytes_dropped: u64::from_json(v.req("torn_bytes_dropped")?)?,
-                bytes_compacted: u64::from_json(v.req("bytes_compacted")?)?,
-            }),
-            "store_info" => Ok(Response::StoreInfo {
-                dir: req_str(v, "dir")?,
-                workspaces: usize::from_json(v.req("workspaces")?)?,
-                records: u64::from_json(v.req("records")?)?,
-                bytes: u64::from_json(v.req("bytes")?)?,
-                compact_after: usize::from_json(v.req("compact_after")?)?,
-                fsync: bool::from_json(v.req("fsync")?)?,
-            }),
-            "shutting_down" => Ok(Response::ShuttingDown),
-            "traces" | "slow" => {
-                let kind = req_str(v, "kind")?;
-                let raw = v.req("spans")?;
-                let spans = raw
-                    .as_arr()
-                    .ok_or_else(|| JsonError::mismatch("array", raw))?
-                    .iter()
-                    .map(TraceSpan::from_json)
-                    .collect::<Result<Vec<_>, JsonError>>()?;
-                Ok(if kind == "traces" {
-                    Response::Traces { spans }
-                } else {
-                    Response::Slow { spans }
-                })
-            }
-            other => Err(JsonError::semantic(format!(
-                "unknown response kind `{other}`"
-            ))),
-        }
+        let kind = String::take(v, "kind")?;
+        Response::decode_row(&kind, v)?
+            .ok_or_else(|| JsonError::semantic(format!("unknown response kind `{kind}`")))
     }
 }
 
@@ -1457,24 +1180,6 @@ mod tests {
         registry.store_append_ns.record(1_800);
         registry.store_append_ns.record(150_000);
         registry.event(99, "wal.rollback", "w: rolled back");
-        registry.span(cqfit_obs::SpanRecord {
-            op: "add_example".into(),
-            workspace: Some("w".into()),
-            request_id: Some(77),
-            start_ns: 10,
-            decoded_ns: 11,
-            dispatched_ns: 15,
-            replied_ns: 16,
-        });
-        registry.span(cqfit_obs::SpanRecord {
-            op: "ping".into(),
-            workspace: None,
-            request_id: None,
-            start_ns: 20,
-            decoded_ns: 21,
-            dispatched_ns: 22,
-            replied_ns: 23,
-        });
         let resp = Response::Metrics(registry.snapshot());
         let text = serde::to_string(&resp);
         let back: Response = serde::from_str(&text).unwrap();

@@ -460,10 +460,6 @@ fn serve_connection(
                 },
             }
         }
-        // Phase timestamps are shared across the members of one batch
-        // (decode/dispatch/reply happen batch-at-a-time); three more
-        // clock reads per dispatched batch, none for error-only frames.
-        let trace_decoded_ns = (!batch.is_empty()).then(|| clock.monotonic().as_nanos() as u64);
         // Dispatch: every request of the window runs in order on this
         // connection's thread, so a window is answered exactly as the
         // same requests sent one by one.  One causal "server.request" span
@@ -492,10 +488,9 @@ fn serve_connection(
             .iter()
             .map(|(request, request_id, ctx)| engine.handle_traced(request, *request_id, Some(ctx)))
             .collect();
-        let trace_dispatched_ns = trace_decoded_ns.map(|_| {
+        if !batch.is_empty() {
             registry.server_pipeline_depth.set(0);
-            clock.monotonic().as_nanos() as u64
-        });
+        }
         // Every response of the batch goes out in one buffered write: a
         // single frame in request order.  One write per batch matters on
         // real TCP — a train of tiny per-response writes provokes the
@@ -515,27 +510,19 @@ fn serve_connection(
         } else {
             conn.write_all(&reply_frame)
         };
-        // Close out the batch's spans: one span per dispatched request
-        // (decode/dispatch/reply timestamps shared batch-wide), plus the
-        // end-to-end latency sample each contributes to the histogram.
-        // This runs even when the reply write failed: the requests WERE
-        // dispatched (their engine/store child spans committed), so
-        // dropping the parent spans would orphan them in the trace.
-        if let (Some(decoded_ns), Some(dispatched_ns)) = (trace_decoded_ns, trace_dispatched_ns) {
+        // Close out the batch's spans: one span per dispatched request,
+        // plus the end-to-end latency sample each contributes to the
+        // histogram.  Each span's `engine.handle` child marks where its
+        // dispatch started and ended.  This runs even when the reply
+        // write failed: the requests WERE dispatched (their engine/store
+        // child spans committed), so dropping the parent spans would
+        // orphan them in the trace.
+        if !request_spans.is_empty() {
             let replied_ns = clock.monotonic().as_nanos() as u64;
-            for ((request, request_id, _), span) in batch.iter().zip(request_spans) {
+            for span in request_spans {
                 registry
                     .server_request_ns
                     .record(replied_ns.saturating_sub(trace_begun_ns));
-                registry.span(cqfit_obs::SpanRecord {
-                    op: request.op().to_string(),
-                    workspace: request.workspace().map(str::to_string),
-                    request_id: *request_id,
-                    start_ns: trace_begun_ns,
-                    decoded_ns,
-                    dispatched_ns,
-                    replied_ns,
-                });
                 // Closing the causal span also journals it (flight
                 // recorder, if attached) and offers it to the slow table.
                 let finished = span.finish_at(tracer, replied_ns);
@@ -733,16 +720,25 @@ mod tests {
             (mixed.len() + requests.len()) as u64,
             "one latency sample per dispatched request"
         );
+        let traces = engine.registry().traces();
+        let server_spans: Vec<_> = traces
+            .iter()
+            .filter(|s| s.name == "server.request")
+            .collect();
+        assert_eq!(
+            server_spans.len(),
+            mixed.len() + requests.len(),
+            "one span per dispatched request"
+        );
         assert!(
-            snap.spans
+            server_spans
                 .iter()
-                .any(|s| s.op == "add_example" && s.workspace.as_deref() == Some("p")),
+                .any(|s| s.annotation("op") == Some("add_example")
+                    && s.annotation("workspace") == Some("p")),
             "spans carry op and workspace"
         );
-        for span in &snap.spans {
-            assert!(span.start_ns <= span.decoded_ns);
-            assert!(span.decoded_ns <= span.dispatched_ns);
-            assert!(span.dispatched_ns <= span.replied_ns);
+        for span in &traces {
+            assert!(span.start_ns <= span.end_ns, "{span:?}");
         }
     }
 

@@ -160,7 +160,10 @@ fn responses() -> Vec<(&'static str, Response)> {
                 names: vec!["a".into(), "b".into()],
             },
         ),
-        ("workspaces/empty", Response::Workspaces { names: Vec::new() }),
+        (
+            "workspaces/empty",
+            Response::Workspaces { names: Vec::new() },
+        ),
         (
             "info",
             Response::Info {

@@ -4,19 +4,15 @@
 //! This is the implementation that shipped before the mask-based rewrite of
 //! the core engine: one full `Example` clone per retraction, an induced
 //! sub-instance rebuild per candidate check, one value removed per pass, and
-//! isolated-value cleanup only after the retraction loop.  It is kept for
-//! two reasons:
+//! isolated-value cleanup only after the retraction loop.  It is kept as
+//! the oracle of the differential suite (`tests/differential_core.rs`),
+//! which checks that the mask-based engine agrees with it up to
+//! isomorphism (equal value/fact counts, homomorphic equivalence both
+//! ways, identical distinguished handling) over hundreds of fixed-seed
+//! instances.  The speedups it once anchored are recorded in
+//! `BENCH_pr3.json` (see EXPERIMENTS.md).
 //!
-//! * the differential suite (`tests/differential_core.rs`) checks that the
-//!   mask-based engine agrees with it up to isomorphism (equal value/fact
-//!   counts, homomorphic equivalence both ways, identical distinguished
-//!   handling) over hundreds of fixed-seed instances, and
-//! * the perf-trajectory capture (`BENCH_pr3.json`) measures both engines in
-//!   the same run, so recorded speedups are relative to a baseline compiled
-//!   with identical settings.
-//!
-//! It is **not** part of the supported API surface and may be removed once
-//! the trajectory has enough recorded points.
+//! It is **not** part of the supported API surface.
 
 use crate::{find_homomorphism, hom_exists};
 use cqfit_data::{Example, Value};

@@ -4,17 +4,13 @@
 //! This module is the engine that shipped before the trail-based rewrite of
 //! the search module: it clones the full candidate-set vector at every branch
 //! node and re-scans all target facts of a relation on every propagation
-//! step.  It is kept for two reasons:
+//! step.  It is kept as the oracle of the differential test suite
+//! (`tests/differential_hom.rs`), which checks that the new engine agrees
+//! with it on existence, enumeration and witnesses over hundreds of random
+//! instances.  The old-versus-new speedups it once anchored are recorded
+//! in `BENCH_pr2.json` (see EXPERIMENTS.md).
 //!
-//! * the differential test suite (`tests/differential_hom.rs`) checks that
-//!   the new engine agrees with it on existence, enumeration and witnesses
-//!   over hundreds of random instances, and
-//! * the perf-trajectory capture (`cqfit-bench`'s `perf_trajectory` binary)
-//!   measures the old and new engines in the same run, so speedups are
-//!   relative to a baseline compiled with identical settings.
-//!
-//! It is **not** part of the supported API surface and may be removed once
-//! the trajectory has enough recorded points.
+//! It is **not** part of the supported API surface.
 
 use crate::bitset::BitSet;
 use crate::{HomConfig, HomError, HomSearchStats, Homomorphism, Result};

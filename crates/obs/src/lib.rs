@@ -24,13 +24,12 @@
 //! * [`Registry`] — a plain struct with one named field per metric.  No
 //!   hash maps, no string interning: the set of metrics is closed at
 //!   compile time, which is what keeps the hot path allocation-free.
-//! * Bounded event and span rings ([`EventRecord`], [`SpanRecord`]) for
-//!   structured tracing of rare transitions (rollback, poison, compaction)
-//!   and per-request decode→dispatch→reply phase timestamps.
+//! * A bounded event ring ([`EventRecord`]) for structured tracing of
+//!   rare transitions (rollback, poison, compaction, reconnect).
 //! * [`Snapshot`] — a plain-data copy of everything, plus
 //!   [`render_prometheus`] for text exposition.
 //! * Causal tracing ([`TraceContext`], [`Tracer`], [`TraceSpan`]) with a
-//!   bounded completed-span ring, a [`SlowTable`] of the slowest
+//!   bounded trace ring, a [`SlowTable`] of the slowest
 //!   requests, a crash-surviving [`FlightRecorder`] journal, and
 //!   Chrome-trace / waterfall exporters ([`render_chrome_trace`],
 //!   [`render_waterfall`]).
@@ -64,9 +63,6 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Capacity of the structured-event ring buffer.
 pub const EVENT_RING_CAPACITY: usize = 128;
-
-/// Capacity of the request-span ring buffer.
-pub const SPAN_RING_CAPACITY: usize = 128;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -297,27 +293,6 @@ pub struct EventRecord {
     pub detail: String,
 }
 
-/// A completed request span: one protocol request's phase timestamps as it
-/// moved decode → dispatch → reply through the server.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SpanRecord {
-    /// Protocol op kind, e.g. `"add_example"`.
-    pub op: String,
-    /// Target workspace, when the op addresses one.
-    pub workspace: Option<String>,
-    /// Client-assigned request id, when present.
-    pub request_id: Option<u64>,
-    /// Monotonic ns when the raw frame was taken off the wire.
-    pub start_ns: u64,
-    /// Monotonic ns when decoding finished.
-    pub decoded_ns: u64,
-    /// Monotonic ns when the engine returned (commit included — durable
-    /// ops ack only after their WAL append).
-    pub dispatched_ns: u64,
-    /// Monotonic ns when the reply frame was written.
-    pub replied_ns: u64,
-}
-
 #[derive(Debug)]
 struct Ring<T> {
     items: Mutex<VecDeque<T>>,
@@ -417,7 +392,6 @@ pub struct Registry {
     pub slow: SlowTable,
 
     events: Ring<EventRecord>,
-    spans: Ring<SpanRecord>,
     traces: Ring<TraceSpan>,
 }
 
@@ -438,11 +412,6 @@ impl Registry {
             },
             EVENT_RING_CAPACITY,
         );
-    }
-
-    /// Appends a completed request span to the bounded ring.
-    pub fn span(&self, span: SpanRecord) {
-        self.spans.push(span, SPAN_RING_CAPACITY);
     }
 
     /// Appends a completed trace span to the bounded trace ring.
@@ -496,14 +465,13 @@ impl Registry {
                 histogram("server_request_ns", &self.server_request_ns),
             ],
             events: self.events.to_vec(),
-            spans: self.spans.to_vec(),
         }
     }
 }
 
 /// A plain-data copy of a [`Registry`] at one instant: name/value lists
 /// for counters and gauges, condensed summaries for histograms, and the
-/// current contents of the event and span rings.
+/// current contents of the event ring.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     /// `(name, value)` for every counter, in registry order.
@@ -514,8 +482,6 @@ pub struct Snapshot {
     pub histograms: Vec<(String, HistogramSummary)>,
     /// Bounded structured-event ring contents (oldest first).
     pub events: Vec<EventRecord>,
-    /// Bounded request-span ring contents (oldest first).
-    pub spans: Vec<SpanRecord>,
 }
 
 impl Snapshot {
@@ -768,17 +734,18 @@ mod tests {
         for i in 0..(EVENT_RING_CAPACITY + 10) {
             registry.event(i as u64, "wal.rollback", format!("event {i}"));
         }
-        for i in 0..(SPAN_RING_CAPACITY + 5) {
-            registry.span(SpanRecord {
-                op: format!("op {i}"),
-                ..SpanRecord::default()
+        for i in 0..(TRACE_RING_CAPACITY + 5) {
+            registry.trace_span(TraceSpan {
+                span_id: i as u64,
+                ..TraceSpan::default()
             });
         }
         let snap = registry.snapshot();
         assert_eq!(snap.events.len(), EVENT_RING_CAPACITY);
         assert_eq!(snap.events[0].detail, "event 10");
-        assert_eq!(snap.spans.len(), SPAN_RING_CAPACITY);
-        assert_eq!(snap.spans[0].op, "op 5");
+        let traces = registry.traces();
+        assert_eq!(traces.len(), TRACE_RING_CAPACITY);
+        assert_eq!(traces[0].span_id, 5);
     }
 
     #[test]

@@ -296,26 +296,6 @@ impl Tracer {
         }
     }
 
-    /// Records an error event: into the registry's event ring and, when a
-    /// flight recorder is attached, durably as a zero-trace span named
-    /// `event:{kind}`.
-    pub fn error_event(&self, kind: &str, detail: &str) {
-        let at_ns = self.now_ns();
-        self.registry.event(at_ns, kind, detail);
-        let flight = self.flight.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(recorder) = flight.as_ref() {
-            let _ = recorder.record(&TraceSpan {
-                trace_id: 0,
-                span_id: 0,
-                parent_span_id: 0,
-                name: format!("event:{kind}"),
-                start_ns: at_ns,
-                end_ns: at_ns,
-                annotations: vec![("detail".to_string(), detail.to_string())],
-            });
-        }
-    }
-
     fn commit(&self, span: TraceSpan) -> TraceSpan {
         let flight = self.flight.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(recorder) = flight.as_ref() {

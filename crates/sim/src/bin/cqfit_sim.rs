@@ -93,8 +93,12 @@ fn main() -> ExitCode {
     );
     println!(
         "metric invariants: {} store runs and {} wire sessions cross-checked \
-         ({} retries accounted one-for-one to injected cuts)",
-        stats.metric_store_checks, stats.metric_net_checks, stats.metric_retries_accounted
+         ({} retries accounted one-for-one to injected cuts); \
+         {} same-seed reruns left identical metrics and traces",
+        stats.metric_store_checks,
+        stats.metric_net_checks,
+        stats.metric_retries_accounted,
+        stats.determinism_checks
     );
     println!(
         "trace coverage: {} traced sessions, {} spans causality-checked, \

@@ -62,7 +62,9 @@
 //!   session must report zero retries while every injected cut that
 //!   consumed a request must surface as *exactly one* client retry (with
 //!   reconnects and backoff sleeps in lock-step) and batch replays must
-//!   show up in the server's memo-replay counter.
+//!   show up in the server's memo-replay counter.  A traced store run,
+//!   repeated with the same seed, must leave the identical registry
+//!   snapshot and trace ring.
 //! * **Phase T — causal tracing and the flight recorder.**  Traced
 //!   durable sessions (call-by-call and pipelined, fault-free and under
 //!   seeded wire cuts) must each yield a coherent span forest across the
@@ -89,8 +91,8 @@ use cqfit_engine::{
 use cqfit_env::{Env, Fs};
 use cqfit_gen::{churn_workload, resolve_churn, RandomConfig, ResolvedChurnOp};
 use cqfit_obs::{
-    decode_journal, FlightRecorder, TraceContext, TraceSpan, FR_FILE_NAME, FR_HEADER_BYTES,
-    FR_SLOT_BYTES,
+    decode_journal, FlightRecorder, Snapshot, TraceContext, TraceSpan, FR_FILE_NAME,
+    FR_HEADER_BYTES, FR_SLOT_BYTES,
 };
 use cqfit_store::{LogRecord, Store, StoreConfig};
 use std::collections::BTreeMap;
@@ -185,6 +187,9 @@ pub struct ExploreStats {
     /// Client retries accounted one-for-one to injected wire cuts in
     /// phase M (every cut that consumed a request produced exactly one).
     pub metric_retries_accounted: u64,
+    /// Phase-M same-seed reruns of the traced store run that left the
+    /// identical registry snapshot and trace ring.
+    pub determinism_checks: u64,
     /// Phase-T traced durable wire sessions whose combined client+server
     /// span capture passed every causality invariant.
     pub trace_sessions: u64,
@@ -219,6 +224,7 @@ impl ExploreStats {
         self.metric_store_checks += other.metric_store_checks;
         self.metric_net_checks += other.metric_net_checks;
         self.metric_retries_accounted += other.metric_retries_accounted;
+        self.determinism_checks += other.determinism_checks;
         self.trace_sessions += other.trace_sessions;
         self.trace_spans_checked += other.trace_spans_checked;
         self.trace_retry_links += other.trace_retry_links;
@@ -1272,7 +1278,7 @@ fn phase_n_session(
             let counters = Arc::clone(&counters);
             Box::new(move || {
                 let mut client =
-                    Client::connect_retrying("sim:harness", Arc::clone(&env), 8).expect("connect");
+                    Client::connect_with("sim:harness", Arc::clone(&env), 8).expect("connect");
                 client.set_call_timeout(Some(Duration::from_secs(2)));
                 client.set_retry(RetryPolicy {
                     attempts: 8,
@@ -1464,13 +1470,15 @@ fn metric_check(seed: u64, context: &str, name: &str, got: u64, want: u64) -> Re
 /// request surfaces as exactly one client retry (reconnects and backoff
 /// sleeps in lock-step), and a mid-burst pipelined cut shows the whole
 /// applied batch replaying through the server's idempotency-memo
-/// counter.
+/// counter.  Determinism: the same seed leaves the same registry and
+/// traces.
 fn phase_m_metric_invariants(
     seed: u64,
     cfg: &SimConfig,
     stats: &mut ExploreStats,
 ) -> Result<(), String> {
     phase_m_store_metrics(seed, cfg, stats)?;
+    phase_m_determinism(seed, cfg, stats)?;
     phase_m_net_metrics(seed, cfg, stats)
 }
 
@@ -1653,6 +1661,58 @@ fn phase_m_store_metrics(
     Ok(())
 }
 
+/// Phase M's store run on a fresh simulated environment, every request
+/// traced under its own root context: the registry snapshot and the
+/// trace ring it leaves behind.
+fn traced_store_run(seed: u64, sequence: &[Request]) -> Result<(Snapshot, Vec<TraceSpan>), String> {
+    let env: Arc<dyn Env> = Arc::new(SimEnv::new(Arc::new(SimFs::new()), seed));
+    let store = Store::open_with(store_config(NO_COMPACTION), env)
+        .map_err(|e| format!("seed {seed}: phase M traced store open: {e}"))?;
+    let (engine, _) = Engine::with_store(EngineConfig::default(), store)
+        .map_err(|e| format!("seed {seed}: phase M traced recovery: {e}"))?;
+    for request in sequence {
+        let root = engine.tracer().root_context();
+        let response = engine.handle_traced(request, None, Some(&root));
+        if !response.is_ok() {
+            return Err(format!(
+                "seed {seed}: phase M traced run: {request:?} failed: {response:?}"
+            ));
+        }
+    }
+    Ok((engine.registry().snapshot(), engine.registry().traces()))
+}
+
+/// Phase M determinism: the traced store run, repeated on a fresh
+/// simulated environment with the same seed, must leave the identical
+/// registry snapshot and the identical trace spans (ids and timestamps
+/// included).
+fn phase_m_determinism(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Result<(), String> {
+    let sequence = phase_m_sequence(seed, cfg);
+    let (snapshot, traces) = traced_store_run(seed, &sequence)?;
+    let (again, again_traces) = traced_store_run(seed, &sequence)?;
+    if again != snapshot {
+        return Err(format!(
+            "seed {seed}: phase M determinism: the same seed left a different registry\n  \
+             first:  {snapshot:?}\n  second: {again:?}"
+        ));
+    }
+    if again_traces != traces {
+        let at = traces
+            .iter()
+            .zip(&again_traces)
+            .position(|(a, b)| a != b)
+            .unwrap_or(traces.len().min(again_traces.len()));
+        return Err(format!(
+            "seed {seed}: phase M determinism: the same seed left different traces \
+             ({} vs {} spans, first difference at span {at})",
+            traces.len(),
+            again_traces.len()
+        ));
+    }
+    stats.determinism_checks += 1;
+    Ok(())
+}
+
 fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Result<(), String> {
     let script = phase_n_script(seed, cfg);
 
@@ -1694,12 +1754,17 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
         snap.histogram("server_request_ns").map_or(0, |h| h.count),
         script.len() as u64,
     )?;
+    let server_spans = registry
+        .traces()
+        .iter()
+        .filter(|span| span.name == "server.request")
+        .count();
     metric_check(
         seed,
         context,
-        "server spans",
-        snap.spans.len() as u64,
-        (script.len() as u64).min(128),
+        "server.request spans",
+        server_spans as u64,
+        script.len() as u64,
     )?;
     stats.metric_net_checks += 1;
 
@@ -1862,7 +1927,7 @@ fn phase_t_session(
             let client_spans = Arc::clone(&client_spans);
             Box::new(move || {
                 let mut client =
-                    Client::connect_retrying("sim:harness", Arc::clone(&env), 8).expect("connect");
+                    Client::connect_with("sim:harness", Arc::clone(&env), 8).expect("connect");
                 client.set_call_timeout(Some(Duration::from_secs(2)));
                 client.set_retry(RetryPolicy {
                     attempts: 8,
@@ -2254,25 +2319,10 @@ fn phase_t_flight_recorder(seed: u64, stats: &mut ExploreStats) -> Result<(), St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqfit_obs::Snapshot;
-
-    /// Phase M's store run on a fresh simulated environment, every
-    /// request traced under its own root context.
-    fn traced_store_run(seed: u64, sequence: &[Request]) -> (Snapshot, Vec<TraceSpan>) {
-        let env: Arc<dyn Env> = Arc::new(SimEnv::new(Arc::new(SimFs::new()), seed));
-        let store = Store::open_with(store_config(NO_COMPACTION), env).expect("store open");
-        let (engine, _) = Engine::with_store(EngineConfig::default(), store).expect("recovery");
-        for request in sequence {
-            let root = engine.tracer().root_context();
-            let response = engine.handle_traced(request, None, Some(&root));
-            assert!(response.is_ok(), "{request:?} failed: {response:?}");
-        }
-        (engine.registry().snapshot(), engine.registry().traces())
-    }
 
     /// Determinism as an invariant: the same seed drives the same
     /// requests to the same metrics (counters, gauges, histogram
-    /// summaries, event and span rings) and the same trace spans, ids and
+    /// summaries, the event ring) and the same trace spans, ids and
     /// timestamps included.  Several seeds, because which hom checks a
     /// question runs (and so the cache counters and span timings) depends
     /// on the seeded example shapes.
@@ -2281,8 +2331,8 @@ mod tests {
         let mut hom_misses = 0;
         for seed in 0..16 {
             let sequence = phase_m_sequence(seed, &SimConfig::smoke());
-            let (snapshot, traces) = traced_store_run(seed, &sequence);
-            let (again, again_traces) = traced_store_run(seed, &sequence);
+            let (snapshot, traces) = traced_store_run(seed, &sequence).unwrap();
+            let (again, again_traces) = traced_store_run(seed, &sequence).unwrap();
             assert_eq!(again, snapshot, "seed {seed}: same seed, same registry");
             assert_eq!(again_traces, traces, "seed {seed}: same seed, same traces");
             hom_misses += snapshot.counter("hom_misses");
@@ -2343,6 +2393,7 @@ mod tests {
         assert_eq!(stats.metric_store_checks, 2, "stats: {stats:?}");
         assert_eq!(stats.metric_net_checks, 6, "stats: {stats:?}");
         assert_eq!(stats.metric_retries_accounted, 4, "stats: {stats:?}");
+        assert_eq!(stats.determinism_checks, 1, "stats: {stats:?}");
         // Phase T: four traced durable sessions (baseline, cut,
         // pipelined, pipelined cut), each cut session contributing ≥1
         // verified retry link; the journal cut at every slot boundary

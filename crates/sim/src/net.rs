@@ -596,7 +596,7 @@ mod tests {
         // writes vanish into the pipe — the classic stalled server.
         let _listener = net.bind("sim:silent").unwrap();
         let before = std::time::Instant::now();
-        let mut client = Client::connect_with("sim:silent", Arc::clone(&env)).unwrap();
+        let mut client = Client::connect_with("sim:silent", Arc::clone(&env), 1).unwrap();
         client.set_call_timeout(Some(Duration::from_millis(50)));
         client.set_retry(RetryPolicy {
             attempts: 2,
@@ -632,7 +632,7 @@ mod tests {
         let handle = std::thread::spawn(move || server.run().unwrap());
         let mut stalled = net.connect("sim:drain").unwrap();
         stalled.write_all(b"{\"op\":\"ping\"").unwrap(); // half a frame, then silence
-        let mut client = Client::connect_with("sim:drain", Arc::clone(&env)).unwrap();
+        let mut client = Client::connect_with("sim:drain", Arc::clone(&env), 1).unwrap();
         assert!(matches!(
             client.call(&Request::Shutdown).unwrap(),
             Response::ShuttingDown
@@ -674,7 +674,7 @@ mod tests {
         let handle = std::thread::spawn(move || server.run().unwrap());
         let mut late = net.connect("sim:late").unwrap();
         late.write_all(b"{\"op\":").unwrap(); // half a frame
-        let mut client = Client::connect_with("sim:late", Arc::clone(&env)).unwrap();
+        let mut client = Client::connect_with("sim:late", Arc::clone(&env), 1).unwrap();
         assert!(matches!(
             client.call(&Request::Shutdown).unwrap(),
             Response::ShuttingDown
@@ -725,7 +725,7 @@ mod tests {
                 let env = Arc::clone(&env);
                 let transcript = Arc::clone(&transcript);
                 Box::new(move || {
-                    let mut client = Client::connect_retrying("sim:once", env, 8).unwrap();
+                    let mut client = Client::connect_with("sim:once", env, 8).unwrap();
                     client.set_call_timeout(Some(Duration::from_secs(2)));
                     client.set_retry(RetryPolicy {
                         attempts: 8,
