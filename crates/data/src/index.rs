@@ -46,27 +46,21 @@ pub(crate) struct FactIndex {
 }
 
 impl FactIndex {
-    /// An empty index ready for the relations of `schema`.
-    pub fn new(schema: &Schema) -> Self {
-        let mut index = FactIndex::default();
-        index.reset(schema, 0);
-        index
-    }
-
-    /// Clears everything and re-sizes for `schema` and `num_values` values.
-    pub fn reset(&mut self, schema: &Schema, num_values: usize) {
-        self.by_rel.clear();
-        self.by_rel.resize(schema.len(), Vec::new());
-        self.by_value.clear();
-        self.by_value.resize(num_values, Vec::new());
-        self.slot_of.clear();
+    /// An empty index ready for the relations of `schema` and
+    /// `num_values` values, each list sized once.
+    pub fn new(schema: &Schema, num_values: usize) -> Self {
+        let mut slot_of = Vec::with_capacity(schema.len());
         let mut slots = 0;
         for rel in schema.rel_ids() {
-            self.slot_of.push(slots);
+            slot_of.push(slots);
             slots += schema.arity(rel);
         }
-        self.by_rel_pos.clear();
-        self.by_rel_pos.resize(slots, Vec::new());
+        FactIndex {
+            by_rel: vec![Vec::new(); schema.len()],
+            by_value: vec![Vec::new(); num_values],
+            by_rel_pos: vec![vec![Vec::new(); num_values]; slots],
+            slot_of,
+        }
     }
 
     /// Registers a freshly declared value (appends an empty posting list).

@@ -67,10 +67,16 @@ pub struct Instance {
 impl Instance {
     /// Creates an empty instance over `schema`.
     pub fn new(schema: Arc<Schema>) -> Self {
-        let index = FactIndex::new(&schema);
+        Instance::with_labels(schema, Vec::new())
+    }
+
+    /// Creates an instance over `schema` whose values carry `labels`, in
+    /// order, and no facts: `new` plus one `add_value` per label.
+    pub(crate) fn with_labels(schema: Arc<Schema>, labels: Vec<String>) -> Self {
+        let index = FactIndex::new(&schema, labels.len());
         Instance {
             schema,
-            labels: Vec::new(),
+            labels,
             facts: Vec::new(),
             index,
             structural_hash: std::sync::OnceLock::new(),

@@ -1,9 +1,12 @@
 //! Hand-written serde round-trips for the data model.
 //!
 //! The vendored `serde` stand-in exposes functional `Serialize::to_json` /
-//! `Deserialize::from_json` traits over a JSON value model (its no-op
-//! derives expand to nothing), so the impls here are explicit.  The JSON
-//! shapes are stable and documented per type; deserialization goes through
+//! `Deserialize::deserialize` traits over a JSON value model (its no-op
+//! derives expand to nothing), so the impls here are explicit.  Each type
+//! has one decoder, which reads from any `serde::Source`: JSON text
+//! directly (the write-ahead log's replay path) or a parsed value.  The
+//! JSON shapes are stable and documented per type; deserialization goes
+//! through
 //! the same validating constructors as programmatic building
 //! ([`Instance::add_fact`], [`Example::new`], [`LabeledExamples::new`]), so
 //! a deserialized object is always internally consistent — including the
@@ -23,7 +26,7 @@
 
 use crate::{Example, Instance, LabeledExamples, Relation, Schema, Value};
 use serde::json::{JsonError, Value as Json};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Source};
 use std::sync::Arc;
 
 impl Serialize for Value {
@@ -33,8 +36,8 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        u32::from_json(v).map(Value)
+    fn deserialize<'de, S: Source<'de>>(v: S) -> Result<Self, JsonError> {
+        u32::deserialize(v).map(Value)
     }
 }
 
@@ -48,10 +51,10 @@ impl Serialize for Relation {
 }
 
 impl Deserialize for Relation {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
         Ok(Relation {
-            name: String::from_json(v.req("name")?)?,
-            arity: usize::from_json(v.req("arity")?)?,
+            name: String::deserialize(v.req("name")?)?,
+            arity: usize::deserialize(v.req("arity")?)?,
         })
     }
 }
@@ -63,8 +66,8 @@ impl Serialize for Schema {
 }
 
 impl Deserialize for Schema {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let relations = Vec::<Relation>::from_json(v.req("relations")?)?;
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        let relations = Vec::<Relation>::deserialize(v.req("relations")?)?;
         Schema::new(relations.into_iter().map(|r| (r.name, r.arity)))
             .map_err(|e| JsonError::semantic(format!("invalid schema: {e}")))
     }
@@ -92,35 +95,33 @@ impl Serialize for Instance {
 }
 
 impl Deserialize for Instance {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let schema = Arc::new(Schema::from_json(v.req("schema")?)?);
-        let labels = Vec::<String>::from_json(v.req("labels")?)?;
-        let mut inst = Instance::new(schema);
-        for label in labels {
-            inst.add_value(label);
-        }
-        let facts_json = v.req("facts")?;
-        let facts = facts_json
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        let schema = Arc::new(Schema::deserialize(v.req("schema")?)?);
+        let labels = Vec::<String>::deserialize(v.req("labels")?)?;
+        let mut inst = Instance::with_labels(schema, labels);
+        let mut facts = v.req("facts")?;
+        let mut args = Vec::new();
+        for mut fact in facts
             .as_arr()
-            .ok_or_else(|| JsonError::mismatch("array", facts_json))?;
-        for fact in facts {
-            let row = fact
+            .ok_or_else(|| JsonError::mismatch("array", &facts))?
+        {
+            let mut row = fact
                 .as_arr()
-                .ok_or_else(|| JsonError::mismatch("fact array", fact))?;
-            if row.is_empty() {
+                .ok_or_else(|| JsonError::mismatch("fact array", &fact))?;
+            let Some(rel) = row.next() else {
                 return Err(JsonError::semantic("empty fact array"));
-            }
-            let rel = crate::RelId(u32::from_json(&row[0])?);
+            };
+            let rel = crate::RelId(u32::deserialize(rel)?);
             if rel.index() >= inst.schema().len() {
                 return Err(JsonError::semantic(format!(
                     "fact references unknown relation id {}",
                     rel.0
                 )));
             }
-            let args: Vec<Value> = row[1..]
-                .iter()
-                .map(Value::from_json)
-                .collect::<Result<_, _>>()?;
+            args.clear();
+            for arg in row {
+                args.push(Value::deserialize(arg)?);
+            }
             inst.add_fact(rel, &args)
                 .map_err(|e| JsonError::semantic(format!("invalid fact: {e}")))?;
         }
@@ -138,9 +139,9 @@ impl Serialize for Example {
 }
 
 impl Deserialize for Example {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let instance = Instance::from_json(v.req("instance")?)?;
-        let distinguished = Vec::<Value>::from_json(v.req("distinguished")?)?;
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        let instance = Instance::deserialize(v.req("instance")?)?;
+        let distinguished = Vec::<Value>::deserialize(v.req("distinguished")?)?;
         for d in &distinguished {
             if d.index() >= instance.num_values() {
                 return Err(JsonError::semantic(format!(
@@ -163,9 +164,9 @@ impl Serialize for LabeledExamples {
 }
 
 impl Deserialize for LabeledExamples {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let positives = Vec::<Example>::from_json(v.req("positives")?)?;
-        let negatives = Vec::<Example>::from_json(v.req("negatives")?)?;
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        let positives = Vec::<Example>::deserialize(v.req("positives")?)?;
+        let negatives = Vec::<Example>::deserialize(v.req("negatives")?)?;
         LabeledExamples::new(positives, negatives)
             .map_err(|e| JsonError::semantic(format!("invalid labeled examples: {e}")))
     }

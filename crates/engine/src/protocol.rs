@@ -28,7 +28,7 @@ use cqfit_data::{Example, Schema};
 use cqfit_obs::{TraceContext, TraceSpan};
 use cqfit_query::{Cq, Ucq};
 use serde::json::{JsonError, Value as Json};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Source};
 
 /// Whether an example is added to `E⁺` or `E⁻`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -497,15 +497,15 @@ macro_rules! wire_enum {
         }
 
         impl Deserialize for $ty {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                match v.as_str() {
+            fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+                match v.as_str().as_deref() {
                     Some($a_name) => Ok($ty::$a),
                     Some($b_name) => Ok($ty::$b),
                     Some(other) => Err(JsonError::semantic(format!(
                         "unknown {} `{other}` (expected `{}` or `{}`)",
                         $what, $a_name, $b_name
                     ))),
-                    None => Err(JsonError::mismatch("string", v)),
+                    None => Err(JsonError::mismatch("string", &v)),
                 }
             }
         }
@@ -525,7 +525,7 @@ trait Field: Sized {
     /// row.
     fn put(&self, key: &'static str, out: &mut Fields);
     /// Reads the field back from the whole object.
-    fn take(v: &Json, key: &str) -> Result<Self, JsonError>;
+    fn take<'de, S: Source<'de>>(v: &mut S, key: &str) -> Result<Self, JsonError>;
 }
 
 /// Required fields: always written, and must be present.
@@ -535,8 +535,8 @@ macro_rules! required_fields {
             fn put(&self, key: &'static str, out: &mut Fields) {
                 out.push((key, self.to_json()));
             }
-            fn take(v: &Json, key: &str) -> Result<Self, JsonError> {
-                <$t>::from_json(v.req(key)?)
+            fn take<'de, S: Source<'de>>(v: &mut S, key: &str) -> Result<Self, JsonError> {
+                <$t>::deserialize(v.req(key)?)
             }
         }
     )*};
@@ -560,8 +560,8 @@ impl Field for Option<u64> {
     fn put(&self, key: &'static str, out: &mut Fields) {
         out.extend(self.map(|value| (key, value.to_json())));
     }
-    fn take(v: &Json, key: &str) -> Result<Self, JsonError> {
-        v.get(key).map(u64::from_json).transpose()
+    fn take<'de, S: Source<'de>>(v: &mut S, key: &str) -> Result<Self, JsonError> {
+        v.get(key).map(u64::deserialize).transpose()
     }
 }
 
@@ -573,10 +573,10 @@ impl Field for ExamplePayload {
             ExamplePayload::Text(t) => ("text", Json::str(t)),
         });
     }
-    fn take(v: &Json, _: &str) -> Result<Self, JsonError> {
+    fn take<'de, S: Source<'de>>(v: &mut S, _: &str) -> Result<Self, JsonError> {
         match (v.get("example"), v.get("text")) {
-            (Some(e), None) => Ok(ExamplePayload::Structured(Example::from_json(e)?)),
-            (None, Some(t)) => Ok(ExamplePayload::Text(String::from_json(t)?)),
+            (Some(e), None) => Ok(ExamplePayload::Structured(Example::deserialize(e)?)),
+            (None, Some(t)) => Ok(ExamplePayload::Text(String::deserialize(t)?)),
             (Some(_), Some(_)) => Err(JsonError::semantic(
                 "give either `example` (structured) or `text`, not both",
             )),
@@ -602,14 +602,14 @@ impl Field for Option<FitQuery> {
             out.push(("query_json", query_json));
         }
     }
-    fn take(v: &Json, _: &str) -> Result<Self, JsonError> {
+    fn take<'de, S: Source<'de>>(v: &mut S, _: &str) -> Result<Self, JsonError> {
         if !bool::take(v, "found")? {
             return Ok(None);
         }
         let query_json = v.req("query_json")?;
         Ok(Some(match QueryClass::take(v, "class")? {
-            QueryClass::Cq => FitQuery::Cq(Cq::from_json(query_json)?),
-            QueryClass::Ucq => FitQuery::Ucq(Ucq::from_json(query_json)?),
+            QueryClass::Cq => FitQuery::Cq(Cq::deserialize(query_json)?),
+            QueryClass::Ucq => FitQuery::Ucq(Ucq::deserialize(query_json)?),
         }))
     }
 }
@@ -625,24 +625,26 @@ fn object_of<T>(pairs: &[(String, T)], value: impl Fn(&T) -> Json) -> Json {
 }
 
 /// A JSON object read back as a `(name, value)` list.
-fn pairs_of<T>(
-    v: &Json,
+fn pairs_of<'de, S: Source<'de>, T>(
+    v: &mut S,
     key: &str,
-    value: impl Fn(&Json) -> Result<T, JsonError>,
+    value: impl Fn(S) -> Result<T, JsonError>,
 ) -> Result<Vec<(String, T)>, JsonError> {
-    let field = v.req(key)?;
+    let mut field = v.req(key)?;
     field
         .as_obj()
-        .ok_or_else(|| JsonError::mismatch("object", field))?
-        .iter()
-        .map(|(name, v)| Ok((name.clone(), value(v)?)))
+        .ok_or_else(|| JsonError::mismatch("object", &field))?
+        .map(|(name, v)| Ok((name.into_owned(), value(v)?)))
         .collect()
 }
 
 /// An integer that older replies may lack, read as zero when absent.
-fn zero_if_absent<T: Deserialize + Default>(v: &Json, key: &str) -> Result<T, JsonError> {
+fn zero_if_absent<'de, S: Source<'de>, T: Deserialize + Default>(
+    v: &mut S,
+    key: &str,
+) -> Result<T, JsonError> {
     Ok(v.get(key)
-        .map(T::from_json)
+        .map(T::deserialize)
         .transpose()?
         .unwrap_or_default())
 }
@@ -684,30 +686,30 @@ impl Field for EngineStats {
         }
         out.push(("revisions", object_of(&self.revisions, u64::to_json)));
     }
-    fn take(v: &Json, _: &str) -> Result<Self, JsonError> {
+    fn take<'de, S: Source<'de>>(v: &mut S, _: &str) -> Result<Self, JsonError> {
         let cache = match v.get("cache") {
-            Some(c) => Some(cqfit_hom::CacheStats {
-                hom_hits: u64::take(c, "hom_hits")?,
-                hom_misses: u64::take(c, "hom_misses")?,
-                core_hits: u64::take(c, "core_hits")?,
-                core_misses: u64::take(c, "core_misses")?,
-                hom_entries: usize::take(c, "hom_entries")?,
-                core_entries: usize::take(c, "core_entries")?,
+            Some(mut c) => Some(cqfit_hom::CacheStats {
+                hom_hits: u64::take(&mut c, "hom_hits")?,
+                hom_misses: u64::take(&mut c, "hom_misses")?,
+                core_hits: u64::take(&mut c, "core_hits")?,
+                core_misses: u64::take(&mut c, "core_misses")?,
+                hom_entries: usize::take(&mut c, "hom_entries")?,
+                core_entries: usize::take(&mut c, "core_entries")?,
             }),
             None => None,
         };
         let store = match v.get("store") {
-            Some(s) => Some(cqfit_store::StoreStats {
-                workspaces: usize::take(s, "workspaces")?,
-                records: u64::take(s, "records")?,
-                bytes: u64::take(s, "bytes")?,
-                compactions: u64::take(s, "compactions")?,
-                bytes_compacted: u64::take(s, "bytes_compacted")?,
+            Some(mut s) => Some(cqfit_store::StoreStats {
+                workspaces: usize::take(&mut s, "workspaces")?,
+                records: u64::take(&mut s, "records")?,
+                bytes: u64::take(&mut s, "bytes")?,
+                compactions: u64::take(&mut s, "compactions")?,
+                bytes_compacted: u64::take(&mut s, "bytes_compacted")?,
             }),
             None => None,
         };
         let revisions = match v.get("revisions") {
-            Some(_) => pairs_of(v, "revisions", u64::from_json)?,
+            Some(_) => pairs_of(v, "revisions", u64::deserialize)?,
             None => Vec::new(),
         };
         Ok(EngineStats {
@@ -757,30 +759,29 @@ impl Field for cqfit_obs::Snapshot {
             ("events", Json::Arr(events)),
         ]);
     }
-    fn take(v: &Json, _: &str) -> Result<Self, JsonError> {
-        let histogram = |h: &Json| {
+    fn take<'de, S: Source<'de>>(v: &mut S, _: &str) -> Result<Self, JsonError> {
+        let histogram = |mut h: S| {
             Ok(cqfit_obs::HistogramSummary {
-                count: u64::take(h, "count")?,
-                sum: u64::take(h, "sum")?,
-                max: u64::take(h, "max")?,
-                p50: u64::take(h, "p50")?,
-                p90: u64::take(h, "p90")?,
-                p99: u64::take(h, "p99")?,
+                count: u64::take(&mut h, "count")?,
+                sum: u64::take(&mut h, "sum")?,
+                max: u64::take(&mut h, "max")?,
+                p50: u64::take(&mut h, "p50")?,
+                p90: u64::take(&mut h, "p90")?,
+                p99: u64::take(&mut h, "p99")?,
             })
         };
-        let counters = pairs_of(v, "counters", u64::from_json)?;
-        let gauges = pairs_of(v, "gauges", i64::from_json)?;
+        let counters = pairs_of(v, "counters", u64::deserialize)?;
+        let gauges = pairs_of(v, "gauges", i64::deserialize)?;
         let histograms = pairs_of(v, "histograms", histogram)?;
-        let events = v.req("events")?;
+        let mut events = v.req("events")?;
         let events = events
             .as_arr()
-            .ok_or_else(|| JsonError::mismatch("array", events))?
-            .iter()
-            .map(|e| {
+            .ok_or_else(|| JsonError::mismatch("array", &events))?
+            .map(|mut e| {
                 Ok(cqfit_obs::EventRecord {
-                    at_ns: u64::take(e, "at_ns")?,
-                    kind: String::take(e, "kind")?,
-                    detail: String::take(e, "detail")?,
+                    at_ns: u64::take(&mut e, "at_ns")?,
+                    kind: String::take(&mut e, "kind")?,
+                    detail: String::take(&mut e, "detail")?,
                 })
             })
             .collect::<Result<_, JsonError>>()?;
@@ -832,7 +833,10 @@ macro_rules! wire_table {
             }
 
             /// Decodes the row named `name`; `None` when no row has it.
-            fn decode_row(name: &str, v: &Json) -> Result<Option<Self>, JsonError> {
+            fn decode_row<'de, S: Source<'de>>(
+                name: &str,
+                v: &mut S,
+            ) -> Result<Option<Self>, JsonError> {
                 Ok(Some(match name {
                     $($name => $ty::$variant
                         $((Field::take(v, stringify!($inner))?))?
@@ -897,9 +901,9 @@ impl Serialize for Request {
 }
 
 impl Deserialize for Request {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let op = String::take(v, "op")?;
-        Request::decode_row(&op, v)?
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        let op = String::take(&mut v, "op")?;
+        Request::decode_row(&op, &mut v)?
             .ok_or_else(|| JsonError::semantic(format!("unknown op `{op}`")))
     }
 }
@@ -919,16 +923,22 @@ impl Serialize for Response {
 }
 
 impl Deserialize for Response {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if !bool::take(v, "ok")? {
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        if !bool::take(&mut v, "ok")? {
             return Ok(Response::Error {
-                message: String::take(v, "error")?,
-                line: v.get("line").and_then(Json::as_i64).map(|l| l as usize),
-                col: v.get("col").and_then(Json::as_i64).map(|c| c as usize),
+                message: String::take(&mut v, "error")?,
+                line: v
+                    .get("line")
+                    .and_then(|mut l| l.as_i64())
+                    .map(|l| l as usize),
+                col: v
+                    .get("col")
+                    .and_then(|mut c| c.as_i64())
+                    .map(|c| c as usize),
             });
         }
-        let kind = String::take(v, "kind")?;
-        Response::decode_row(&kind, v)?
+        let kind = String::take(&mut v, "kind")?;
+        Response::decode_row(&kind, &mut v)?
             .ok_or_else(|| JsonError::semantic(format!("unknown response kind `{kind}`")))
     }
 }

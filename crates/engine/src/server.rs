@@ -505,6 +505,11 @@ fn serve_connection(
             text.push('\n');
             reply_frame.extend_from_slice(text.as_bytes());
         }
+        // The reply time is read before the reply is written: once the
+        // bytes are out, the client may run (and read its own clock)
+        // before this thread reads the clock again, and the request
+        // spans would then end after the client saw the reply.
+        let replied_ns = (!request_spans.is_empty()).then(|| clock.monotonic().as_nanos() as u64);
         let write_result = if reply_frame.is_empty() {
             Ok(())
         } else {
@@ -517,8 +522,7 @@ fn serve_connection(
         // write failed: the requests WERE dispatched (their engine/store
         // child spans committed), so dropping the parent spans would
         // orphan them in the trace.
-        if !request_spans.is_empty() {
-            let replied_ns = clock.monotonic().as_nanos() as u64;
+        if let Some(replied_ns) = replied_ns {
             for span in request_spans {
                 registry
                     .server_request_ns
@@ -803,6 +807,80 @@ mod tests {
         ));
         handle.join().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A connection that hands out scripted request bytes, then EOF, and
+    /// stamps every reply write with the engine's clock.
+    #[derive(Debug)]
+    struct StampedConn {
+        input: Vec<u8>,
+        clock: Arc<cqfit_env::ManualClock>,
+        writes: Arc<std::sync::Mutex<Vec<u64>>>,
+    }
+
+    impl NetConn for StampedConn {
+        fn read(&mut self, buf: &mut [u8], _: Option<Duration>) -> io::Result<usize> {
+            let n = self.input.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.input[..n]);
+            self.input.drain(..n);
+            Ok(n)
+        }
+        fn write_all(&mut self, _: &[u8]) -> io::Result<()> {
+            let now = self.clock.monotonic().as_nanos() as u64;
+            self.writes.lock().unwrap().push(now);
+            Ok(())
+        }
+        fn shutdown(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+        fn peer_addr(&self) -> String {
+            "scripted".into()
+        }
+    }
+
+    /// Every `server.request` span ends before its reply is written, so
+    /// a client never sees a reply before the server's span of it ends.
+    /// The clock ticks on every reading, so a reading taken after the
+    /// write would end the spans after the write's stamp.
+    #[test]
+    fn request_spans_end_before_the_reply_is_written() {
+        use cqfit_env::{ManualClock, PartsEnv, RealEnv};
+
+        let clock = Arc::new(ManualClock::with_auto_tick(Duration::from_micros(1)));
+        let env: Arc<dyn cqfit_env::Env> =
+            Arc::new(PartsEnv::new(Arc::new(RealEnv::new()), clock.clone(), 7));
+        let engine = Engine::with_env(EngineConfig::default(), env);
+        let writes = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let conn = StampedConn {
+            input: b"{\"op\":\"ping\"}\n{\"op\":\"list_workspaces\"}\n".to_vec(),
+            clock,
+            writes: writes.clone(),
+        };
+        serve_connection(
+            &engine,
+            &AtomicBool::new(false),
+            "scripted",
+            Box::new(conn),
+            PIPELINE_WINDOW,
+        )
+        .unwrap();
+        let writes = writes.lock().unwrap();
+        assert_eq!(writes.len(), 1, "one reply frame for the pipelined pair");
+        let spans: Vec<_> = engine
+            .registry()
+            .traces()
+            .into_iter()
+            .filter(|s| s.name == "server.request")
+            .collect();
+        assert_eq!(spans.len(), 2);
+        for span in &spans {
+            assert!(
+                span.end_ns < writes[0],
+                "span ends at {} but the reply was written at {}",
+                span.end_ns,
+                writes[0]
+            );
+        }
     }
 
     /// The drain-grace window, exercised entirely on a manual clock — no

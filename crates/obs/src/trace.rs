@@ -16,7 +16,8 @@ use std::sync::{Arc, Mutex};
 
 use cqfit_env::Env;
 use serde::json::{JsonError, Value as Json};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Source};
+use std::borrow::Cow;
 
 use crate::flight::FlightRecorder;
 use crate::Registry;
@@ -80,24 +81,29 @@ impl Serialize for TraceContext {
 }
 
 impl Deserialize for TraceContext {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let hex = |key: &str| -> Result<&str, JsonError> {
-            v.req(key)?
-                .as_str()
-                .ok_or_else(|| JsonError::semantic(format!("trace field `{key}` must be a string")))
-        };
-        let trace_id = TraceContext::parse_trace_id(hex("trace_id")?)
-            .ok_or_else(|| JsonError::semantic("invalid trace_id hex"))?;
-        let span_id = TraceContext::parse_span_id(hex("span_id")?)
-            .ok_or_else(|| JsonError::semantic("invalid span_id hex"))?;
-        let parent_span_id = TraceContext::parse_span_id(hex("parent_span_id")?)
-            .ok_or_else(|| JsonError::semantic("invalid parent_span_id hex"))?;
-        Ok(TraceContext {
-            trace_id,
-            span_id,
-            parent_span_id,
-        })
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        context_of(&mut v)
     }
+}
+
+/// Reads the context fields of a context or span object.
+fn context_of<'de, S: Source<'de>>(v: &mut S) -> Result<TraceContext, JsonError> {
+    let mut hex = |key: &str| -> Result<Cow<'de, str>, JsonError> {
+        v.req(key)?
+            .as_str()
+            .ok_or_else(|| JsonError::semantic(format!("trace field `{key}` must be a string")))
+    };
+    let trace_id = TraceContext::parse_trace_id(&hex("trace_id")?)
+        .ok_or_else(|| JsonError::semantic("invalid trace_id hex"))?;
+    let span_id = TraceContext::parse_span_id(&hex("span_id")?)
+        .ok_or_else(|| JsonError::semantic("invalid span_id hex"))?;
+    let parent_span_id = TraceContext::parse_span_id(&hex("parent_span_id")?)
+        .ok_or_else(|| JsonError::semantic("invalid parent_span_id hex"))?;
+    Ok(TraceContext {
+        trace_id,
+        span_id,
+        parent_span_id,
+    })
 }
 
 /// A completed, annotated span: the unit persisted to the trace ring, the
@@ -171,27 +177,28 @@ impl Serialize for TraceSpan {
 }
 
 impl Deserialize for TraceSpan {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let ctx = TraceContext::from_json(v)?;
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        let ctx = context_of(&mut v)?;
         let name = v
             .req("name")?
             .as_str()
             .ok_or_else(|| JsonError::semantic("span `name` must be a string"))?
-            .to_string();
-        let start_ns = u64::from_json(v.req("start_ns")?)?;
-        let end_ns = u64::from_json(v.req("end_ns")?)?;
+            .into_owned();
+        let start_ns = u64::deserialize(v.req("start_ns")?)?;
+        let end_ns = u64::deserialize(v.req("end_ns")?)?;
         let mut annotations = Vec::new();
-        for pair in v
+        for mut pair in v
             .req("annotations")?
             .as_arr()
             .ok_or_else(|| JsonError::semantic("span `annotations` must be an array"))?
         {
-            let kv = pair
+            let kv: [S; 2] = pair
                 .as_arr()
-                .filter(|kv| kv.len() == 2)
+                .and_then(|kv| kv.collect::<Vec<_>>().try_into().ok())
                 .ok_or_else(|| JsonError::semantic("annotation must be a [key, value] pair"))?;
-            match (kv[0].as_str(), kv[1].as_str()) {
-                (Some(k), Some(val)) => annotations.push((k.to_string(), val.to_string())),
+            let [mut k, mut val] = kv;
+            match (k.as_str(), val.as_str()) {
+                (Some(k), Some(val)) => annotations.push((k.into_owned(), val.into_owned())),
                 _ => return Err(JsonError::semantic("annotation key/value must be strings")),
             }
         }

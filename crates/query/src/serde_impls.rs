@@ -18,7 +18,7 @@
 use crate::{Atom, Cq, Ucq, Variable};
 use cqfit_data::{RelId, Schema};
 use serde::json::{JsonError, Value as Json};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Source};
 use std::sync::Arc;
 
 impl Serialize for Variable {
@@ -28,8 +28,8 @@ impl Serialize for Variable {
 }
 
 impl Deserialize for Variable {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        u32::from_json(v).map(Variable)
+    fn deserialize<'de, S: Source<'de>>(v: S) -> Result<Self, JsonError> {
+        u32::deserialize(v).map(Variable)
     }
 }
 
@@ -43,19 +43,16 @@ impl Serialize for Atom {
 }
 
 impl Deserialize for Atom {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let row = v
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        let mut row = v
             .as_arr()
-            .ok_or_else(|| JsonError::mismatch("atom array", v))?;
-        if row.is_empty() {
+            .ok_or_else(|| JsonError::mismatch("atom array", &v))?;
+        let Some(rel) = row.next() else {
             return Err(JsonError::semantic("empty atom array"));
-        }
+        };
         Ok(Atom {
-            rel: RelId(u32::from_json(&row[0])?),
-            args: row[1..]
-                .iter()
-                .map(Variable::from_json)
-                .collect::<Result<_, _>>()?,
+            rel: RelId(u32::deserialize(rel)?),
+            args: row.map(Variable::deserialize).collect::<Result<_, _>>()?,
         })
     }
 }
@@ -76,11 +73,11 @@ impl Serialize for Cq {
 }
 
 impl Deserialize for Cq {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let schema = Arc::new(Schema::from_json(v.req("schema")?)?);
-        let vars = Vec::<String>::from_json(v.req("vars")?)?;
-        let answer = Vec::<Variable>::from_json(v.req("answer")?)?;
-        let atoms = Vec::<Atom>::from_json(v.req("atoms")?)?;
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        let schema = Arc::new(Schema::deserialize(v.req("schema")?)?);
+        let vars = Vec::<String>::deserialize(v.req("vars")?)?;
+        let answer = Vec::<Variable>::deserialize(v.req("answer")?)?;
+        let atoms = Vec::<Atom>::deserialize(v.req("atoms")?)?;
         Cq::from_parts(schema, vars, answer, atoms)
             .map_err(|e| JsonError::semantic(format!("invalid CQ: {e}")))
     }
@@ -93,8 +90,8 @@ impl Serialize for Ucq {
 }
 
 impl Deserialize for Ucq {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let disjuncts = Vec::<Cq>::from_json(v.req("disjuncts")?)?;
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        let disjuncts = Vec::<Cq>::deserialize(v.req("disjuncts")?)?;
         Ucq::new(disjuncts).map_err(|e| JsonError::semantic(format!("invalid UCQ: {e}")))
     }
 }

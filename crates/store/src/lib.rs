@@ -4,7 +4,8 @@
 //! CRC-checked JSONL **write-ahead log** per workspace, **snapshot +
 //! log-compaction** once a log exceeds a configurable record budget, and
 //! **crash recovery** that replays every log back into workspace state —
-//! truncating torn tails — and reports what it restored.
+//! truncating torn tails, refusing corrupt records — and reports what it
+//! restored.
 //!
 //! The contract with the engine (`cqfit-engine`) is *persist before ack*:
 //! every mutation (`create`, `add`, `remove`) is appended — and, with
@@ -19,6 +20,12 @@
 //! OS, so a *process* kill loses nothing (the page cache survives) but a
 //! machine crash can lose the unsynced suffix — recovery then truncates
 //! the torn tail and restores the longest intact prefix.
+//!
+//! Torn versus corrupt: a line that is unterminated, unframed, or fails
+//! its CRC is a torn write, and it and everything after it are cut off.
+//! A line that passes its CRC but does not decode was written whole, so
+//! cutting it would drop acknowledged records; recovery fails with
+//! [`StoreError::Corrupt`] instead and leaves the log as it is.
 //!
 //! All filesystem traffic goes through the injectable [`cqfit_env::Env`]
 //! ([`Store::open`] defaults to the real one): the `cqfit-sim` harness

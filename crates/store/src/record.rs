@@ -6,14 +6,20 @@
 //! {"crc":3632233996,"rec":{"op":"add","id":0,"polarity":"positive","example":{…}}}
 //! ```
 //!
-//! where `crc` is the CRC-32 (IEEE) of the serialized `rec` value, byte for
-//! byte as written.  The vendored JSON writer is deterministic (object keys
-//! keep insertion order, integers print canonically), so re-serializing the
-//! parsed `rec` value reproduces the written bytes exactly and the checksum
-//! can be verified without storing the raw body twice.  A line that fails
-//! to parse, fails the checksum, or lacks its trailing newline marks the
-//! torn tail of the log: everything from that byte offset on is discarded
-//! (see the crate documentation on recovery).
+//! where `crc` is the CRC-32 (IEEE) of the record body — the raw bytes
+//! between `"rec":` and the line's final `}`, exactly as written.
+//! [`encode_record`] always writes this frame, so [`decode_record`] splits
+//! the body out of the line and checks its checksum before decoding
+//! anything; it then decodes the body straight from the text, with no
+//! JSON tree and no second serialization.
+//!
+//! A line that is not newline-terminated, is not framed this way, or
+//! fails its checksum is the torn tail of the log: everything from that
+//! byte offset on is discarded (see the crate documentation on recovery).
+//! A line whose body passes its checksum but does not decode was written
+//! whole by a writer this reader does not understand (a bug or a version
+//! skew); it is reported as corruption, since truncating it would drop
+//! acknowledged records.
 //!
 //! Record kinds mirror the engine's mutations: `create` (schema + arity),
 //! `add` / `remove` (one example by id and polarity), and `snapshot` (the
@@ -23,7 +29,8 @@
 use cqfit_data::{Example, Schema};
 use cqfit_obs::crc32;
 use serde::json::{JsonError, Value as Json};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Source};
+use std::fmt;
 
 /// A full copy of one workspace's logical state, as carried by a
 /// `snapshot` record and returned by recovery.
@@ -113,14 +120,13 @@ fn examples_json(examples: &[(u64, Example)]) -> Json {
     )
 }
 
-fn examples_from_json(v: &Json) -> Result<Vec<(u64, Example)>, JsonError> {
+fn examples_from_json<'de, S: Source<'de>>(mut v: S) -> Result<Vec<(u64, Example)>, JsonError> {
     v.as_arr()
-        .ok_or_else(|| JsonError::mismatch("array", v))?
-        .iter()
-        .map(|entry| {
+        .ok_or_else(|| JsonError::mismatch("array", &v))?
+        .map(|mut entry| {
             Ok((
-                u64::from_json(entry.req("id")?)?,
-                Example::from_json(entry.req("example")?)?,
+                u64::deserialize(entry.req("id")?)?,
+                Example::deserialize(entry.req("example")?)?,
             ))
         })
         .collect()
@@ -140,16 +146,22 @@ impl Serialize for WorkspaceSnapshot {
 }
 
 impl Deserialize for WorkspaceSnapshot {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(WorkspaceSnapshot {
-            schema: Schema::from_json(v.req("schema")?)?,
-            arity: usize::from_json(v.req("arity")?)?,
-            next_id: u64::from_json(v.req("next_id")?)?,
-            revision: u64::from_json(v.req("revision")?)?,
-            positives: examples_from_json(v.req("positives")?)?,
-            negatives: examples_from_json(v.req("negatives")?)?,
-        })
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        snapshot_fields(&mut v)
     }
+}
+
+/// Reads the fields of a snapshot object (a `snapshot` record carries
+/// them after its `op` tag).
+fn snapshot_fields<'de, S: Source<'de>>(v: &mut S) -> Result<WorkspaceSnapshot, JsonError> {
+    Ok(WorkspaceSnapshot {
+        schema: Schema::deserialize(v.req("schema")?)?,
+        arity: usize::deserialize(v.req("arity")?)?,
+        next_id: u64::deserialize(v.req("next_id")?)?,
+        revision: u64::deserialize(v.req("revision")?)?,
+        positives: examples_from_json(v.req("positives")?)?,
+        negatives: examples_from_json(v.req("negatives")?)?,
+    })
 }
 
 impl Serialize for LogRecord {
@@ -168,7 +180,7 @@ impl Serialize for LogRecord {
             } => {
                 // The request id is emitted only when present, so logs
                 // written before the field existed re-encode byte for
-                // byte (the CRC check re-serializes the parsed body).
+                // byte.
                 let mut pairs = vec![
                     ("op".to_string(), Json::str("add")),
                     ("id".to_string(), id.to_json()),
@@ -198,8 +210,8 @@ impl Serialize for LogRecord {
             LogRecord::Snapshot(s) => {
                 // One source of truth for the snapshot shape: prepend the
                 // op tag to WorkspaceSnapshot's own serialization (the
-                // Deserialize side reuses WorkspaceSnapshot::from_json
-                // the same way).
+                // Deserialize side reads the same fields with
+                // `snapshot_fields`).
                 let mut pairs = vec![("op".to_string(), Json::str("snapshot"))];
                 match s.to_json() {
                     Json::Obj(fields) => pairs.extend(fields),
@@ -212,25 +224,25 @@ impl Serialize for LogRecord {
 }
 
 impl Deserialize for LogRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let op = String::from_json(v.req("op")?)?;
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        let op = String::deserialize(v.req("op")?)?;
         match op.as_str() {
             "create" => Ok(LogRecord::Create {
-                schema: Schema::from_json(v.req("schema")?)?,
-                arity: usize::from_json(v.req("arity")?)?,
+                schema: Schema::deserialize(v.req("schema")?)?,
+                arity: usize::deserialize(v.req("arity")?)?,
             }),
             "add" => Ok(LogRecord::AddExample {
-                id: u64::from_json(v.req("id")?)?,
-                positive: parse_polarity(&String::from_json(v.req("polarity")?)?)?,
-                example: Example::from_json(v.req("example")?)?,
-                request_id: v.get("request_id").map(u64::from_json).transpose()?,
+                id: u64::deserialize(v.req("id")?)?,
+                positive: parse_polarity(&String::deserialize(v.req("polarity")?)?)?,
+                example: Example::deserialize(v.req("example")?)?,
+                request_id: v.get("request_id").map(u64::deserialize).transpose()?,
             }),
             "remove" => Ok(LogRecord::RemoveExample {
-                id: u64::from_json(v.req("id")?)?,
-                positive: parse_polarity(&String::from_json(v.req("polarity")?)?)?,
-                request_id: v.get("request_id").map(u64::from_json).transpose()?,
+                id: u64::deserialize(v.req("id")?)?,
+                positive: parse_polarity(&String::deserialize(v.req("polarity")?)?)?,
+                request_id: v.get("request_id").map(u64::deserialize).transpose()?,
             }),
-            "snapshot" => Ok(LogRecord::Snapshot(WorkspaceSnapshot::from_json(v)?)),
+            "snapshot" => Ok(LogRecord::Snapshot(snapshot_fields(&mut v)?)),
             other => Err(JsonError::semantic(format!(
                 "unknown log record op `{other}`"
             ))),
@@ -238,40 +250,81 @@ impl Deserialize for LogRecord {
     }
 }
 
+/// The frame around every record body: `{"crc":C,"rec":BODY}`.
+const CRC_KEY: &str = "{\"crc\":";
+const REC_KEY: &str = ",\"rec\":";
+
 /// Encodes one record as a checksummed JSONL line (including the trailing
 /// newline).
 pub fn encode_record(record: &LogRecord) -> String {
     let body = serde::to_string(record);
     let crc = crc32(body.as_bytes());
-    format!("{{\"crc\":{crc},\"rec\":{body}}}\n")
+    let mut line = String::with_capacity(body.len() + CRC_KEY.len() + REC_KEY.len() + 12);
+    line.push_str(CRC_KEY);
+    Json::Int(i64::from(crc)).write_to(&mut line);
+    line.push_str(REC_KEY);
+    line.push_str(&body);
+    line.push_str("}\n");
+    line
 }
 
-/// Decodes one log line (without its trailing newline), verifying the
-/// checksum against the re-serialized record body.
+/// Why a log line did not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecordError {
+    /// The line is not a whole record: unframed or failing its checksum.
+    /// It marks the torn tail of the log.
+    Torn(String),
+    /// The body passes its checksum but does not decode: the line was
+    /// written whole, by a writer this reader does not understand.
+    Corrupt(String),
+}
+
+impl fmt::Display for RecordError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecordError::Torn(msg) | RecordError::Corrupt(msg) => f.write_str(msg),
+        }
+    }
+}
+
+/// Splits a line into its checksum and its raw record body.
+fn split_frame(line: &[u8]) -> Option<(u32, &[u8])> {
+    let rest = line.strip_prefix(CRC_KEY.as_bytes())?;
+    let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    let crc = std::str::from_utf8(&rest[..digits]).ok()?.parse().ok()?;
+    let body = rest[digits..].strip_prefix(REC_KEY.as_bytes())?;
+    Some((crc, body.strip_suffix(b"}")?))
+}
+
+/// Decodes one log line (without its trailing newline): checks the
+/// checksum over the raw record body, then decodes the body in one pass.
 ///
 /// # Errors
-/// Returns a human-readable description on parse failure, checksum
-/// mismatch, or structural mismatch — all of which mark the line (and
-/// everything after it) as the torn tail of the log.
-pub fn decode_record(line: &str) -> Result<LogRecord, String> {
-    let v = Json::parse(line).map_err(|e| format!("unparsable log line: {e}"))?;
-    let crc = u32::from_json(v.req("crc").map_err(|e| e.to_string())?)
-        .map_err(|e| format!("bad crc field: {e}"))?;
-    let rec = v.req("rec").map_err(|e| e.to_string())?;
-    let body = rec.to_string();
-    let actual = crc32(body.as_bytes());
+/// [`RecordError::Torn`] when the line is unframed or fails its checksum;
+/// [`RecordError::Corrupt`] when the checksummed body does not decode.
+pub fn decode_record(line: &[u8]) -> Result<LogRecord, RecordError> {
+    let (crc, body) =
+        split_frame(line).ok_or_else(|| RecordError::Torn("unframed log line".to_string()))?;
+    let actual = crc32(body);
     if actual != crc {
-        return Err(format!(
+        return Err(RecordError::Torn(format!(
             "checksum mismatch: record says {crc}, body hashes to {actual}"
-        ));
+        )));
     }
-    LogRecord::from_json(rec).map_err(|e| format!("malformed log record: {e}"))
+    let body = std::str::from_utf8(body)
+        .map_err(|e| RecordError::Corrupt(format!("log record is not UTF-8: {e}")))?;
+    serde::json::decode(body)
+        .map_err(|e| RecordError::Corrupt(format!("malformed log record: {e}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cqfit_data::parse_example;
+
+    fn decode(line: &str) -> Result<LogRecord, RecordError> {
+        decode_record(line.as_bytes())
+    }
 
     fn sample_records() -> Vec<LogRecord> {
         let schema = Schema::digraph();
@@ -319,7 +372,7 @@ mod tests {
         for record in sample_records() {
             let line = encode_record(&record);
             assert!(line.ends_with('\n'));
-            let back = decode_record(line.trim_end()).unwrap();
+            let back = decode(line.trim_end()).unwrap();
             // Structural identity via re-encoding: the writer is
             // deterministic, so equal encodings mean equal records.
             assert_eq!(encode_record(&back), line);
@@ -335,12 +388,45 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] = if bytes[mid] == b'0' { b'1' } else { b'0' };
         let tampered = String::from_utf8_lossy(&bytes).into_owned();
-        assert!(decode_record(&tampered).is_err());
+        assert!(decode(&tampered).is_err());
         // Truncation is also rejected.
-        assert!(decode_record(&trimmed[..trimmed.len() - 4]).is_err());
+        assert!(decode(&trimmed[..trimmed.len() - 4]).is_err());
         // Garbage is rejected.
-        assert!(decode_record("not json at all").is_err());
-        assert!(decode_record("{\"crc\":1}").is_err());
+        assert!(decode("not json at all").is_err());
+        assert!(decode("{\"crc\":1}").is_err());
+    }
+
+    /// A whole line with a good checksum that does not decode is
+    /// corruption; a bad checksum or a broken frame is a torn line.
+    #[test]
+    fn checksummed_but_undecodable_lines_are_corrupt_not_torn() {
+        let frame = |body: &str| format!("{{\"crc\":{},\"rec\":{body}}}", crc32(body.as_bytes()));
+        for body in [
+            r#"{"op":"bogus"}"#,
+            r#"{"op":"add","id":0}"#,
+            "{\"op\":",
+            "[]",
+        ] {
+            assert!(
+                matches!(decode(&frame(body)), Err(RecordError::Corrupt(_))),
+                "{body}"
+            );
+        }
+        let line = encode_record(&sample_records()[0]);
+        let line = line.trim_end();
+        assert!(matches!(decode(line), Ok(LogRecord::Create { .. })));
+        for torn in [
+            line.replacen("\"crc\":", "\"crc\": ", 1),
+            line.replacen("{\"crc\":", "{\"crc\":1", 1),
+            line.replacen("\"rec\"", "\"body\"", 1),
+            line[..line.len() - 1].to_string(),
+            format!("{line} "),
+        ] {
+            assert!(matches!(decode(&torn), Err(RecordError::Torn(_))), "{torn}");
+        }
+        let mut bytes = line.as_bytes().to_vec();
+        bytes[20] = 0xFF;
+        assert!(matches!(decode_record(&bytes), Err(RecordError::Torn(_))));
     }
 
     #[test]
@@ -355,7 +441,7 @@ mod tests {
         };
         let line = encode_record(&with_id);
         assert!(line.contains("\"request_id\":3735928559"));
-        match decode_record(line.trim_end()).unwrap() {
+        match decode(line.trim_end()).unwrap() {
             LogRecord::AddExample { request_id, .. } => {
                 assert_eq!(request_id, Some(0xDEAD_BEEF));
             }
@@ -370,14 +456,14 @@ mod tests {
         };
         let old_line = encode_record(&old);
         assert!(!old_line.contains("request_id"));
-        let back = decode_record(old_line.trim_end()).unwrap();
+        let back = decode(old_line.trim_end()).unwrap();
         assert_eq!(encode_record(&back), old_line);
     }
 
     #[test]
     fn snapshot_preserves_ids_and_counters() {
         let record = sample_records().pop().unwrap();
-        let back = decode_record(encode_record(&record).trim_end()).unwrap();
+        let back = decode(encode_record(&record).trim_end()).unwrap();
         match back {
             LogRecord::Snapshot(s) => {
                 assert_eq!(s.next_id, 3);

@@ -15,7 +15,7 @@
 //! runs against the real filesystem in production and against
 //! `cqfit-sim`'s crash-injecting `SimFs` in the simulation harness.
 
-use crate::record::{decode_record, encode_record, LogRecord};
+use crate::record::{decode_record, encode_record, LogRecord, RecordError};
 use crate::StoreError;
 use cqfit_env::{Env, Fs, FsFile, OpenMode};
 use cqfit_obs::{Registry, TraceContext, Tracer};
@@ -593,14 +593,16 @@ pub(crate) struct ReplayOutcome {
     pub(crate) since_snapshot: u64,
 }
 
-/// Reads a log file, decoding records until the first torn or corrupt
-/// line, and **truncates the file** to the intact prefix so subsequent
-/// appends extend a clean log.
+/// Reads a log file, decoding records until the first torn line, and
+/// **truncates the file** to the intact prefix so subsequent appends
+/// extend a clean log.
 ///
-/// A record is intact when its line is newline-terminated, parses, and
-/// passes its checksum.  Everything from the first failure on is the torn
-/// tail — records after a corrupt line are unreplayable because log order
-/// is the mutation order.
+/// A record is intact when its line is newline-terminated, framed, and
+/// passes its checksum.  Everything from the first torn line on is the
+/// torn tail — records after it are unreplayable because log order is the
+/// mutation order.  An intact line that does not decode is not a torn
+/// write: it fails the replay with [`StoreError::Corrupt`] and the file is
+/// left as it is.
 pub(crate) fn replay(fs: &dyn Fs, path: &Path) -> Result<ReplayOutcome, StoreError> {
     let data = fs.read(path)?;
     let mut records = Vec::new();
@@ -610,12 +612,15 @@ pub(crate) fn replay(fs: &dyn Fs, path: &Path) -> Result<ReplayOutcome, StoreErr
         let Some(nl) = data[offset..].iter().position(|&b| b == b'\n') else {
             break; // unterminated tail
         };
-        let line_bytes = &data[offset..offset + nl];
-        let Ok(line) = std::str::from_utf8(line_bytes) else {
-            break;
-        };
-        let Ok(record) = decode_record(line) else {
-            break;
+        let record = match decode_record(&data[offset..offset + nl]) {
+            Ok(record) => record,
+            Err(RecordError::Torn(_)) => break,
+            Err(RecordError::Corrupt(msg)) => {
+                return Err(StoreError::Corrupt(format!(
+                    "{}: intact record at byte {offset} does not decode: {msg}",
+                    path.display()
+                )))
+            }
         };
         if matches!(record, LogRecord::Snapshot(_)) {
             since_snapshot = 0;
@@ -849,6 +854,133 @@ mod tests {
                     "seed {seed} iter {i}: stem {stem:?} decoded non-canonically to {name:?}"
                 );
             }
+        }
+    }
+
+    /// A filesystem holding one log in memory: `replay` reads it and
+    /// truncates it through `set_len`.
+    #[derive(Debug, Default)]
+    struct OneLog(Arc<Mutex<Vec<u8>>>);
+
+    #[derive(Debug)]
+    struct OneLogFile(Arc<Mutex<Vec<u8>>>);
+
+    impl FsFile for OneLogFile {
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn sync_all(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+            self.0.lock().unwrap().resize(len as usize, 0);
+            Ok(())
+        }
+    }
+
+    impl Fs for OneLog {
+        fn open(&self, _: &Path, _: OpenMode) -> std::io::Result<Box<dyn FsFile>> {
+            Ok(Box::new(OneLogFile(self.0.clone())))
+        }
+        fn read(&self, _: &Path) -> std::io::Result<Vec<u8>> {
+            Ok(self.0.lock().unwrap().clone())
+        }
+        fn rename(&self, _: &Path, _: &Path) -> std::io::Result<()> {
+            unimplemented!("replay does not rename")
+        }
+        fn remove_file(&self, _: &Path) -> std::io::Result<()> {
+            unimplemented!("replay does not unlink")
+        }
+        fn create_dir_all(&self, _: &Path) -> std::io::Result<()> {
+            unimplemented!("replay does not create directories")
+        }
+        fn read_dir(&self, _: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
+            unimplemented!("replay does not list directories")
+        }
+        fn sync_parent_dir(&self, _: &Path) -> std::io::Result<()> {
+            unimplemented!("replay does not sync directories")
+        }
+    }
+
+    /// Replays `log` and checks the outcome: the intact records are a
+    /// prefix of `lines`, decoded byte for byte, and the file is cut to
+    /// them; or the replay fails as corrupt.
+    fn replay_is_prefix_or_corrupt(log: Vec<u8>, lines: &[&str]) {
+        let fs = OneLog(Arc::new(Mutex::new(log)));
+        match replay(&fs, Path::new("ws-sweep.wal")) {
+            Ok(outcome) => {
+                let kept: String = lines[..outcome.records.len()].concat();
+                for (record, line) in outcome.records.iter().zip(lines) {
+                    assert_eq!(encode_record(record), *line);
+                }
+                assert_eq!(outcome.good_bytes, kept.len() as u64);
+                assert_eq!(*fs.0.lock().unwrap(), kept.as_bytes());
+            }
+            Err(StoreError::Corrupt(_)) => {}
+            Err(e) => panic!("replay failed with {e}"),
+        }
+    }
+
+    /// Every truncation point of the compatibility fixture, and every
+    /// single-byte change of each of its lines, is handled as a torn tail
+    /// (or rejected as corrupt) — never decoded into a different record,
+    /// never a panic.
+    #[test]
+    fn every_truncation_and_byte_change_of_the_fixture_is_torn_or_rejected() {
+        let log = include_str!("../tests/fixtures/compat.wal");
+        let lines: Vec<&str> = log.split_inclusive('\n').collect();
+        for cut in 0..=log.len() {
+            replay_is_prefix_or_corrupt(log.as_bytes()[..cut].to_vec(), &lines);
+        }
+        for (i, line) in lines.iter().enumerate() {
+            let next = lines.get(i + 1).copied().unwrap_or("");
+            for at in 0..line.len() {
+                for byte in 0..=u8::MAX {
+                    if byte == line.as_bytes()[at] {
+                        continue;
+                    }
+                    // The changed line, followed by the next one: both
+                    // are dropped as the torn tail.
+                    let mut changed = format!("{line}{next}").into_bytes();
+                    changed[at] = byte;
+                    let fs = OneLog(Arc::new(Mutex::new(changed)));
+                    let outcome = replay(&fs, Path::new("ws-sweep.wal"))
+                        .expect("a changed byte is a torn write, not corruption");
+                    assert_eq!(outcome.records.len(), 0, "line {i} byte {at} -> {byte}");
+                    assert!(fs.0.lock().unwrap().is_empty());
+                }
+            }
+        }
+    }
+
+    /// A checksummed line that does not decode fails the replay — in the
+    /// middle of the log and as its last line — and the file is kept.
+    #[test]
+    fn an_intact_undecodable_line_fails_replay_instead_of_truncating() {
+        let log = include_str!("../tests/fixtures/compat.wal");
+        let body = r#"{"op":"add","id":9}"#;
+        let bad = format!(
+            "{{\"crc\":{},\"rec\":{body}}}\n",
+            cqfit_obs::crc32(body.as_bytes())
+        );
+        let (first, rest) = log.split_at(log.find('\n').unwrap() + 1);
+        for file in [format!("{first}{bad}{rest}"), format!("{log}{bad}")] {
+            let fs = OneLog(Arc::new(Mutex::new(file.clone().into_bytes())));
+            match replay(&fs, Path::new("ws-bad.wal")) {
+                Err(StoreError::Corrupt(msg)) => {
+                    assert!(msg.contains("does not decode"), "{msg}");
+                    assert!(msg.contains("missing key `polarity`"), "{msg}");
+                }
+                other => panic!("expected corruption, got {other:?}"),
+            }
+            assert_eq!(*fs.0.lock().unwrap(), file.as_bytes(), "file untouched");
         }
     }
 }

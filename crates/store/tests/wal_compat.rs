@@ -10,6 +10,7 @@
 use cqfit_data::{Example, Instance, Schema, Value};
 use cqfit_store::record::{decode_record, encode_record};
 use cqfit_store::{LogRecord, WorkspaceSnapshot};
+use serde::Deserialize;
 use std::sync::Arc;
 
 const FIXTURE: &str = include_str!("fixtures/compat.wal");
@@ -107,7 +108,7 @@ fn every_fixture_line_decodes_and_re_encodes_byte_for_byte() {
     assert_eq!(lines.len(), records().len(), "one line per record");
     for (i, line) in lines.iter().enumerate() {
         assert!(line.ends_with('\n'), "line {i} is newline-terminated");
-        let record = decode_record(line.trim_end_matches('\n'))
+        let record = decode_record(line.trim_end_matches('\n').as_bytes())
             .unwrap_or_else(|e| panic!("line {i} does not decode: {e:?}"));
         assert_eq!(encode_record(&record), *line, "line {i} re-encodes");
     }
@@ -127,7 +128,7 @@ fn decoded_fixture_keeps_labels_ids_and_request_ids() {
         positive,
         example,
         request_id,
-    } = decode_record(line).unwrap()
+    } = decode_record(line.as_bytes()).unwrap()
     else {
         panic!("line 1 is an add");
     };
@@ -136,15 +137,58 @@ fn decoded_fixture_keeps_labels_ids_and_request_ids() {
     let labels: Vec<&str> = inst.values().map(|v| inst.label(v)).collect();
     assert_eq!(
         labels,
-        ["say \"hi\"", "back\\slash", "two\nlines", "bell\u{1}", "é⊤😀"]
+        [
+            "say \"hi\"",
+            "back\\slash",
+            "two\nlines",
+            "bell\u{1}",
+            "é⊤😀"
+        ]
     );
     assert_eq!(example.distinguished(), &[Value(4)]);
     assert_eq!(inst.num_facts(), 4);
     assert_eq!(inst.schema().len(), 3);
 
     let line = FIXTURE.lines().nth(2).unwrap();
-    let LogRecord::AddExample { request_id, .. } = decode_record(line).unwrap() else {
+    let LogRecord::AddExample { request_id, .. } = decode_record(line.as_bytes()).unwrap() else {
         panic!("line 2 is an add");
     };
     assert_eq!(request_id, Some(0x1234_5678_9ABC));
+}
+
+/// The record body of a fixture line: the raw text the checksum covers.
+fn body_of(line: &str) -> &str {
+    let start = line.find(",\"rec\":").unwrap() + ",\"rec\":".len();
+    &line[start..line.len() - 1]
+}
+
+/// Decoding a body straight from its text gives exactly what parsing it
+/// into a tree and decoding that gives — the same record or the same
+/// error — on every truncation and on a spread of single-byte changes.
+#[test]
+fn direct_decode_matches_the_tree_on_every_broken_body() {
+    let via_tree = |text: &str| {
+        serde::json::Value::parse(text)
+            .and_then(|v| LogRecord::from_json(&v))
+            .map(|r| encode_record(&r))
+    };
+    let direct = |text: &str| serde::json::decode::<LogRecord>(text).map(|r| encode_record(&r));
+    for line in FIXTURE.lines() {
+        let body = body_of(line);
+        assert_eq!(direct(body), via_tree(body));
+        assert!(direct(body).is_ok());
+        let mut texts: Vec<String> = (0..body.len())
+            .filter_map(|n| body.get(..n).map(str::to_string))
+            .collect();
+        for at in 0..body.len() {
+            for &byte in b"\"\\,:}]9x \n" {
+                let mut changed = body.as_bytes().to_vec();
+                changed[at] = byte;
+                texts.extend(String::from_utf8(changed));
+            }
+        }
+        for text in &texts {
+            assert_eq!(direct(text), via_tree(text), "decoding {text:?}");
+        }
+    }
 }
