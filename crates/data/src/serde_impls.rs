@@ -6,8 +6,7 @@
 //! has one decoder, which reads from any `serde::Source`: JSON text
 //! directly (the write-ahead log's replay path) or a parsed value.  The
 //! JSON shapes are stable and documented per type; deserialization goes
-//! through
-//! the same validating constructors as programmatic building
+//! through the same validating constructors as programmatic building
 //! ([`Instance::add_fact`], [`Example::new`], [`LabeledExamples::new`]), so
 //! a deserialized object is always internally consistent — including the
 //! rebuilt fact indexes.

@@ -428,3 +428,41 @@ fn wire_text_matches_the_golden_file() {
     }
     panic!("wire text differs from wire_golden.txt:\n{report}\nfull rendering:\n{actual}");
 }
+
+/// The wire codec decodes the same from text as from a parsed tree: every
+/// pinned request and response line, every malformed one, and every
+/// truncation of each, gives the same value or the same error through
+/// `serde::json::decode` as through `Value::parse` + `from_json`.
+#[test]
+fn direct_decode_of_every_pinned_line_matches_the_tree() {
+    fn same<T: Deserialize + serde::Serialize>(text: &str) {
+        let direct = serde::json::decode::<T>(text).map(|t| serde::to_string(&t));
+        let via_tree = Json::parse(text)
+            .and_then(|v| T::from_json(&v))
+            .map(|t| serde::to_string(&t));
+        assert_eq!(direct, via_tree, "decoding {text:?}");
+    }
+    let ctx = TraceContext {
+        trace_id: 3,
+        span_id: 4,
+        parent_span_id: 5,
+    };
+    let mut request_lines: Vec<String> = MALFORMED_REQUESTS.iter().map(|r| r.to_string()).collect();
+    for (_, request) in requests() {
+        request_lines.push(serde::to_string(&request));
+        request_lines.push(request.to_json_with_meta(6, Some(&ctx)).to_string());
+    }
+    let mut response_lines: Vec<String> =
+        MALFORMED_RESPONSES.iter().map(|r| r.to_string()).collect();
+    response_lines.extend(responses().iter().map(|(_, r)| serde::to_string(r)));
+    for text in &request_lines {
+        for cut in (0..=text.len()).filter(|&n| text.is_char_boundary(n)) {
+            same::<Request>(&text[..cut]);
+        }
+    }
+    for text in &response_lines {
+        for cut in (0..=text.len()).filter(|&n| text.is_char_boundary(n)) {
+            same::<Response>(&text[..cut]);
+        }
+    }
+}

@@ -447,14 +447,11 @@ impl Store {
             let Some(name) = wal::decode_name(stem) else {
                 continue;
             };
-            let outcome = wal::replay(self.env.fs(), &path)?;
-            report.records_replayed += outcome.records.len() as u64;
-            report.torn_bytes_dropped += outcome.torn_bytes;
             let mut fold = Fold::default();
-            let record_count = outcome.records.len() as u64;
-            for record in outcome.records {
-                fold.apply(record);
-            }
+            let outcome = wal::replay(self.env.fs(), &path, |record| fold.apply(record))?;
+            report.records_replayed += outcome.records;
+            report.torn_bytes_dropped += outcome.torn_bytes;
+            let record_count = outcome.records;
             let Some(ws) = fold.into_restored(name.clone()) else {
                 // Nothing intact (the create itself was torn): the
                 // workspace never existed as far as any client knows.

@@ -583,8 +583,8 @@ impl WalFile {
 /// Outcome of scanning one log file on open.
 #[derive(Debug)]
 pub(crate) struct ReplayOutcome {
-    /// The decoded records, in log order (empty if the whole file was torn).
-    pub(crate) records: Vec<LogRecord>,
+    /// Records decoded and handed on (0 if the whole file was torn).
+    pub(crate) records: u64,
     /// Bytes of intact records (the file is truncated to this length).
     pub(crate) good_bytes: u64,
     /// Bytes discarded as the torn tail.
@@ -593,9 +593,9 @@ pub(crate) struct ReplayOutcome {
     pub(crate) since_snapshot: u64,
 }
 
-/// Reads a log file, decoding records until the first torn line, and
-/// **truncates the file** to the intact prefix so subsequent appends
-/// extend a clean log.
+/// Reads a log file, handing each record to `apply` in log order as it
+/// is decoded, until the first torn line, and **truncates the file** to
+/// the intact prefix so subsequent appends extend a clean log.
 ///
 /// A record is intact when its line is newline-terminated, framed, and
 /// passes its checksum.  Everything from the first torn line on is the
@@ -603,9 +603,13 @@ pub(crate) struct ReplayOutcome {
 /// mutation order.  An intact line that does not decode is not a torn
 /// write: it fails the replay with [`StoreError::Corrupt`] and the file is
 /// left as it is.
-pub(crate) fn replay(fs: &dyn Fs, path: &Path) -> Result<ReplayOutcome, StoreError> {
+pub(crate) fn replay(
+    fs: &dyn Fs,
+    path: &Path,
+    mut apply: impl FnMut(LogRecord),
+) -> Result<ReplayOutcome, StoreError> {
     let data = fs.read(path)?;
-    let mut records = Vec::new();
+    let mut records = 0;
     let mut offset = 0usize;
     let mut since_snapshot = 0u64;
     while offset < data.len() {
@@ -627,7 +631,8 @@ pub(crate) fn replay(fs: &dyn Fs, path: &Path) -> Result<ReplayOutcome, StoreErr
         } else {
             since_snapshot += 1;
         }
-        records.push(record);
+        apply(record);
+        records += 1;
         offset += nl + 1;
     }
     let good_bytes = offset as u64;
@@ -654,6 +659,13 @@ mod tests {
 
     fn real_env() -> Arc<dyn Env> {
         RealEnv::arc()
+    }
+
+    /// Replays a log, keeping its records.
+    fn replay_all(fs: &dyn Fs, path: &Path) -> (ReplayOutcome, Vec<LogRecord>) {
+        let mut records = Vec::new();
+        let outcome = replay(fs, path, |r| records.push(r)).unwrap();
+        (outcome, records)
     }
 
     /// The freshly-created handle must write at EOF *by mode*: after the
@@ -693,8 +705,8 @@ mod tests {
             one_record,
             "append after truncation must not leave a hole"
         );
-        let outcome = replay(env.fs(), &path).unwrap();
-        assert_eq!(outcome.records.len(), 1);
+        let (outcome, records) = replay_all(env.fs(), &path);
+        assert_eq!(records.len(), 1);
         assert_eq!(outcome.torn_bytes, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -738,11 +750,10 @@ mod tests {
         }
         assert_eq!(wal.records(), WRITERS as u64 * PER_WRITER);
         assert_eq!(wal.bytes(), std::fs::metadata(&path).unwrap().len());
-        let outcome = replay(env.fs(), &path).unwrap();
-        assert_eq!(outcome.records.len(), WRITERS * PER_WRITER as usize);
+        let (outcome, records) = replay_all(env.fs(), &path);
+        assert_eq!(records.len(), WRITERS * PER_WRITER as usize);
         assert_eq!(outcome.torn_bytes, 0);
-        let mut ids: Vec<u64> = outcome
-            .records
+        let mut ids: Vec<u64> = records
             .iter()
             .map(|r| match r {
                 LogRecord::AddExample { id, .. } => *id,
@@ -914,10 +925,12 @@ mod tests {
     /// them; or the replay fails as corrupt.
     fn replay_is_prefix_or_corrupt(log: Vec<u8>, lines: &[&str]) {
         let fs = OneLog(Arc::new(Mutex::new(log)));
-        match replay(&fs, Path::new("ws-sweep.wal")) {
+        let mut records = Vec::new();
+        match replay(&fs, Path::new("ws-sweep.wal"), |r| records.push(r)) {
             Ok(outcome) => {
-                let kept: String = lines[..outcome.records.len()].concat();
-                for (record, line) in outcome.records.iter().zip(lines) {
+                assert_eq!(outcome.records, records.len() as u64);
+                let kept: String = lines[..records.len()].concat();
+                for (record, line) in records.iter().zip(lines) {
                     assert_eq!(encode_record(record), *line);
                 }
                 assert_eq!(outcome.good_bytes, kept.len() as u64);
@@ -951,9 +964,9 @@ mod tests {
                     let mut changed = format!("{line}{next}").into_bytes();
                     changed[at] = byte;
                     let fs = OneLog(Arc::new(Mutex::new(changed)));
-                    let outcome = replay(&fs, Path::new("ws-sweep.wal"))
+                    let outcome = replay(&fs, Path::new("ws-sweep.wal"), drop)
                         .expect("a changed byte is a torn write, not corruption");
-                    assert_eq!(outcome.records.len(), 0, "line {i} byte {at} -> {byte}");
+                    assert_eq!(outcome.records, 0, "line {i} byte {at} -> {byte}");
                     assert!(fs.0.lock().unwrap().is_empty());
                 }
             }
@@ -973,7 +986,7 @@ mod tests {
         let (first, rest) = log.split_at(log.find('\n').unwrap() + 1);
         for file in [format!("{first}{bad}{rest}"), format!("{log}{bad}")] {
             let fs = OneLog(Arc::new(Mutex::new(file.clone().into_bytes())));
-            match replay(&fs, Path::new("ws-bad.wal")) {
+            match replay(&fs, Path::new("ws-bad.wal"), drop) {
                 Err(StoreError::Corrupt(msg)) => {
                     assert!(msg.contains("does not decode"), "{msg}");
                     assert!(msg.contains("missing key `polarity`"), "{msg}");
