@@ -28,7 +28,7 @@ const NO_FACTS: &[FactId] = &[];
 /// * per-value posting lists (`containing_value`),
 /// * per-`(relation, position, value)` posting lists (`with_rel_pos_value`),
 ///   the workhorse of index-accelerated homomorphism propagation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct FactIndex {
     /// All facts of each relation, in insertion order.
     by_rel: Vec<Vec<FactId>>,
