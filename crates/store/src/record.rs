@@ -30,7 +30,6 @@ use cqfit_data::{Example, Schema};
 use cqfit_obs::crc32;
 use serde::json::{JsonError, Value as Json};
 use serde::{Deserialize, Serialize, Source};
-use std::fmt;
 
 /// A full copy of one workspace's logical state, as carried by a
 /// `snapshot` record and returned by recovery.
@@ -259,7 +258,8 @@ const REC_KEY: &str = ",\"rec\":";
 pub fn encode_record(record: &LogRecord) -> String {
     let body = serde::to_string(record);
     let crc = crc32(body.as_bytes());
-    let mut line = String::with_capacity(body.len() + CRC_KEY.len() + REC_KEY.len() + 12);
+    // At most ten digits of checksum, then the closing `}` and newline.
+    let mut line = String::with_capacity(CRC_KEY.len() + 10 + REC_KEY.len() + body.len() + 2);
     line.push_str(CRC_KEY);
     Json::Int(i64::from(crc)).write_to(&mut line);
     line.push_str(REC_KEY);
@@ -269,7 +269,7 @@ pub fn encode_record(record: &LogRecord) -> String {
 }
 
 /// Why a log line did not decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum RecordError {
     /// The line is not a whole record: unframed or failing its checksum.
     /// It marks the torn tail of the log.
@@ -277,14 +277,6 @@ pub enum RecordError {
     /// The body passes its checksum but does not decode: the line was
     /// written whole, by a writer this reader does not understand.
     Corrupt(String),
-}
-
-impl fmt::Display for RecordError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecordError::Torn(msg) | RecordError::Corrupt(msg) => f.write_str(msg),
-        }
-    }
 }
 
 /// Splits a line into its checksum and its raw record body.
