@@ -56,15 +56,13 @@ pub const FR_MAX_PAYLOAD: usize = FR_SLOT_BYTES - FR_SLOT_HEADER;
 pub const FR_DEFAULT_SLOTS: usize = 1024;
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes`,
-/// table-driven, eight bytes at a time: besides the journal slots here,
-/// it checks every record the store's write-ahead log replays.
+/// table-driven: besides the journal slots here, it checks every record
+/// the store's write-ahead log replays.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // Slicing-by-8: `TABLES[k][b]` is the CRC of byte `b` followed by
-    // `k` zero bytes, so eight bytes fold in with eight lookups.
-    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
-    let t = TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 8];
-        for (i, entry) in t[0].iter_mut().enumerate() {
+    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut t = [0u32; 256];
+        for (i, entry) in t.iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -75,30 +73,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             }
             *entry = c;
         }
-        for k in 1..8 {
-            for i in 0..256 {
-                let prev = t[k - 1][i];
-                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            }
-        }
         t
     });
     let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    for &b in bytes {
+        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -313,34 +292,6 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    /// The eight-byte folding agrees with the plain bytewise loop at
-    /// every length and alignment of the tail.
-    #[test]
-    fn crc32_agrees_with_the_bytewise_definition() {
-        fn bytewise(bytes: &[u8]) -> u32 {
-            let mut crc = 0xFFFF_FFFFu32;
-            for &b in bytes {
-                crc ^= u32::from(b);
-                for _ in 0..8 {
-                    crc = if crc & 1 != 0 {
-                        0xEDB8_8320 ^ (crc >> 1)
-                    } else {
-                        crc >> 1
-                    };
-                }
-            }
-            crc ^ 0xFFFF_FFFF
-        }
-        let data: Vec<u8> = (0..300u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
-        for start in 0..9 {
-            for end in start..data.len() {
-                assert_eq!(crc32(&data[start..end]), bytewise(&data[start..end]));
-            }
-        }
     }
 
     #[test]
