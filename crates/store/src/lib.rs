@@ -428,8 +428,10 @@ impl Store {
     /// was never acknowledged, so the empty file is removed.
     ///
     /// # Errors
-    /// Propagates I/O failures; corrupt *content* is handled by
-    /// truncation, not errors.
+    /// Propagates I/O failures.  A torn line (unterminated, unframed, or
+    /// failing its CRC) is truncated, not an error; a line that passes its
+    /// CRC but does not decode returns [`StoreError::Corrupt`] and leaves
+    /// the log as it is.
     pub fn recover(&self) -> Result<(Vec<RestoredWorkspace>, RecoveryReport), StoreError> {
         let mut report = RecoveryReport::default();
         let mut restored = Vec::new();
