@@ -1,6 +1,6 @@
 //! The fact index of an [`Instance`](crate::Instance): every secondary
-//! access path into the fact table, maintained incrementally by
-//! `Instance::add_fact` and rebuilt wholesale after deserialization.
+//! access path into the fact table, built from the table on first use and
+//! from then on maintained incrementally by `Instance::add_fact`.
 //!
 //! The index exists because the homomorphism engine (`cqfit-hom`) drives
 //! all of the paper's fitting algorithms, and its propagation loop needs to
@@ -47,7 +47,9 @@ pub(crate) struct FactIndex {
 
 impl FactIndex {
     /// An empty index ready for the relations of `schema` and
-    /// `num_values` values, each list sized once.
+    /// `num_values` values.  Only the per-relation and per-value lists are
+    /// sized up front; the positional lists stay lazy, so memory is linear
+    /// in the schema's slots plus the values, never their product.
     pub fn new(schema: &Schema, num_values: usize) -> Self {
         let mut slot_of = Vec::with_capacity(schema.len());
         let mut slots = 0;
@@ -58,9 +60,19 @@ impl FactIndex {
         FactIndex {
             by_rel: vec![Vec::new(); schema.len()],
             by_value: vec![Vec::new(); num_values],
-            by_rel_pos: vec![vec![Vec::new(); num_values]; slots],
+            by_rel_pos: vec![Vec::new(); slots],
             slot_of,
         }
+    }
+
+    /// The index of `facts` (distinct, ids by position) over `num_values`
+    /// values.
+    pub fn build(schema: &Schema, num_values: usize, facts: &[Fact]) -> Self {
+        let mut index = FactIndex::new(schema, num_values);
+        for (i, fact) in facts.iter().enumerate() {
+            index.insert(fact, FactId(i as u32));
+        }
+        index
     }
 
     /// Registers a freshly declared value (appends an empty posting list).
@@ -138,5 +150,11 @@ impl FactIndex {
         self.by_rel_pos[self.slot_of[rel.index()] + pos]
             .get(v.index())
             .map_or(NO_FACTS, Vec::as_slice)
+    }
+
+    /// Value-indexed entries held across all positional slots.
+    #[cfg(test)]
+    pub fn positional_entries(&self) -> usize {
+        self.by_rel_pos.iter().map(Vec::len).sum()
     }
 }

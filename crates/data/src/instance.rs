@@ -4,7 +4,7 @@ use crate::index::FactIndex;
 use crate::{DataError, RelId, Result, Schema};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A value (domain element) of an [`Instance`], represented as a dense index
 /// local to that instance.
@@ -54,39 +54,83 @@ pub struct Instance {
     facts: Vec<Fact>,
     /// Secondary access paths into `facts` (exact lookup, per-relation,
     /// per-value and per-`(relation, position, value)` posting lists),
-    /// maintained incrementally by [`Instance::add_fact`].
-    index: FactIndex,
+    /// built from `facts` on first use and from then on maintained
+    /// incrementally by [`Instance::add_fact`].  Building it lazily keeps
+    /// decoding cheap: a write-ahead-log replay decodes many examples that
+    /// a later record removes before anything reads them.
+    index: OnceLock<FactIndex>,
     /// Memoized structural hash ([`Instance::canonical_hash`]); reset by
     /// every structural mutation (labels are excluded from the hash, so
     /// [`Instance::set_label`] does not reset it).  Cached because cache
     /// lookups in `cqfit_hom` hash the same (potentially large) instances
     /// on every request.
-    structural_hash: std::sync::OnceLock<crate::CanonicalHash>,
+    structural_hash: OnceLock<crate::CanonicalHash>,
 }
 
 impl Instance {
     /// Creates an empty instance over `schema`.
     pub fn new(schema: Arc<Schema>) -> Self {
-        Instance::with_labels(schema, Vec::new())
+        Instance {
+            schema,
+            labels: Vec::new(),
+            facts: Vec::new(),
+            index: OnceLock::new(),
+            structural_hash: OnceLock::new(),
+        }
     }
 
     /// Creates an instance over `schema` whose values carry `labels`, in
     /// order, and no facts: `new` plus one `add_value` per label.
     pub(crate) fn with_labels(schema: Arc<Schema>, labels: Vec<String>) -> Self {
-        let index = FactIndex::new(&schema, labels.len());
-        Instance {
-            schema,
-            labels,
-            facts: Vec::new(),
-            index,
-            structural_hash: std::sync::OnceLock::new(),
+        let mut inst = Instance::new(schema);
+        inst.labels = labels;
+        inst
+    }
+
+    /// Gives a fact-less instance the facts `facts`, each already passed
+    /// by [`Instance::check_fact`], dropping every repeat after its first
+    /// occurrence: the facts `add_fact` would have kept, in the same
+    /// order.  The index is left to first use.
+    pub(crate) fn with_checked_facts(mut self, mut facts: Vec<Fact>) -> Self {
+        debug_assert!(self.facts.is_empty(), "facts already present");
+        if facts.len() > 1 {
+            // Sorting positions by fact, ties by position, puts each
+            // fact's first occurrence ahead of its repeats.
+            let mut order: Vec<usize> = (0..facts.len()).collect();
+            order.sort_unstable_by_key(|&i| (facts[i].rel, &facts[i].args, i));
+            let mut repeat = vec![false; facts.len()];
+            for pair in order.windows(2) {
+                repeat[pair[1]] = facts[pair[0]] == facts[pair[1]];
+            }
+            let mut at = 0;
+            facts.retain(|_| {
+                at += 1;
+                !repeat[at - 1]
+            });
         }
+        self.facts = facts;
+        self.index = OnceLock::new();
+        self.structural_hash = OnceLock::new();
+        self
     }
 
     /// The memo cell of the structural hash (filled by
     /// [`Instance::canonical_hash`] in the `canonical` module).
-    pub(crate) fn structural_hash_cell(&self) -> &std::sync::OnceLock<crate::CanonicalHash> {
+    pub(crate) fn structural_hash_cell(&self) -> &OnceLock<crate::CanonicalHash> {
         &self.structural_hash
+    }
+
+    /// The fact index, built on first use.
+    #[inline]
+    fn index(&self) -> &FactIndex {
+        self.index
+            .get_or_init(|| FactIndex::build(&self.schema, self.labels.len(), &self.facts))
+    }
+
+    /// The fact index, built on first use, for an update.
+    fn index_mut(&mut self) -> &mut FactIndex {
+        self.index();
+        self.index.get_mut().expect("index built above")
     }
 
     /// The schema of this instance.
@@ -98,8 +142,10 @@ impl Instance {
     pub fn add_value(&mut self, label: impl Into<String>) -> Value {
         let v = Value(self.labels.len() as u32);
         self.labels.push(label.into());
-        self.index.add_value();
-        self.structural_hash = std::sync::OnceLock::new();
+        if let Some(index) = self.index.get_mut() {
+            index.add_value();
+        }
+        self.structural_hash = OnceLock::new();
         v
     }
 
@@ -154,6 +200,24 @@ impl Instance {
     /// Fails if the argument count does not match the relation arity or if an
     /// argument value does not belong to this instance.
     pub fn add_fact(&mut self, rel: RelId, args: &[Value]) -> Result<FactId> {
+        self.check_fact(rel, args)?;
+        if let Some(id) = self.index().lookup(&self.facts, rel, args) {
+            return Ok(id);
+        }
+        let id = FactId(self.facts.len() as u32);
+        let fact = Fact {
+            rel,
+            args: args.to_vec(),
+        };
+        self.index_mut().insert(&fact, id);
+        self.facts.push(fact);
+        self.structural_hash = OnceLock::new();
+        Ok(id)
+    }
+
+    /// Checks the argument count against the arity of `rel` and that
+    /// every argument belongs to this instance.
+    pub(crate) fn check_fact(&self, rel: RelId, args: &[Value]) -> Result<()> {
         let arity = self.schema.arity(rel);
         if args.len() != arity {
             return Err(DataError::ArityMismatch {
@@ -167,18 +231,7 @@ impl Instance {
                 return Err(DataError::UnknownValue(a.0));
             }
         }
-        if let Some(id) = self.index.lookup(&self.facts, rel, args) {
-            return Ok(id);
-        }
-        let id = FactId(self.facts.len() as u32);
-        let fact = Fact {
-            rel,
-            args: args.to_vec(),
-        };
-        self.index.insert(&fact, id);
-        self.facts.push(fact);
-        self.structural_hash = std::sync::OnceLock::new();
-        Ok(id)
+        Ok(())
     }
 
     /// Adds a fact by relation name.
@@ -216,12 +269,12 @@ impl Instance {
 
     /// True if the instance contains the given fact.
     pub fn contains_fact(&self, rel: RelId, args: &[Value]) -> bool {
-        self.index.lookup(&self.facts, rel, args).is_some()
+        self.index().lookup(&self.facts, rel, args).is_some()
     }
 
     /// Ids of all facts using relation `rel`.
     pub fn facts_with_rel(&self, rel: RelId) -> &[FactId] {
-        self.index.with_rel(rel)
+        self.index().with_rel(rel)
     }
 
     /// Ids of all facts of relation `rel` whose argument at position `pos`
@@ -231,17 +284,17 @@ impl Instance {
     /// enumerate only the facts consistent with an already-narrowed
     /// candidate set, instead of scanning all of [`Instance::facts_with_rel`].
     pub fn facts_with_rel_pos_value(&self, rel: RelId, pos: usize, v: Value) -> &[FactId] {
-        self.index.with_rel_pos_value(rel, pos, v)
+        self.index().with_rel_pos_value(rel, pos, v)
     }
 
     /// Ids of all facts in which value `v` occurs (each fact listed once).
     pub fn facts_containing(&self, v: Value) -> &[FactId] {
-        self.index.containing_value(v)
+        self.index().containing_value(v)
     }
 
     /// True if `v` occurs in at least one fact.
     pub fn is_active(&self, v: Value) -> bool {
-        !self.index.containing_value(v).is_empty()
+        !self.index().containing_value(v).is_empty()
     }
 
     /// The active domain: all values occurring in at least one fact, in index
@@ -381,6 +434,31 @@ mod tests {
 
     fn digraph() -> Arc<Schema> {
         Schema::digraph()
+    }
+
+    /// A decoded instance sizes its index by the schema's slots plus its
+    /// values, never their product: one wide relation and many labels
+    /// (the shape of a hostile `add_example` line) leave the positional
+    /// lists empty until facts arrive, and one fact grows each slot only
+    /// to the values it mentions.
+    #[test]
+    fn decoded_index_stays_linear_in_slots_and_values() {
+        const N: usize = 2_000;
+        let labels = vec!["\"\""; N].join(",");
+        let text = format!(
+            r#"{{"schema":{{"relations":[{{"name":"W","arity":{N}}}]}},"labels":[{labels}],"facts":[]}}"#
+        );
+        let empty: Instance = serde::json::decode(&text).unwrap();
+        assert_eq!(empty.num_values(), N);
+        assert_eq!(empty.index().positional_entries(), 0);
+        let tree: Instance = serde::from_str(&text).unwrap();
+        assert_eq!(tree.index().positional_entries(), 0);
+
+        let args = vec!["0"; N].join(",");
+        let text = text.replace(r#""facts":[]"#, &format!(r#""facts":[[0,{args}]]"#));
+        let one: Instance = serde::json::decode(&text).unwrap();
+        assert_eq!(one.num_facts(), 1);
+        assert_eq!(one.index().positional_entries(), N, "one entry per slot");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! Facts are flat integer arrays `[rel, arg0, arg1, …]`; values are their
 //! dense indices.
 
-use crate::{Example, Instance, LabeledExamples, Relation, Schema, Value};
+use crate::{Example, Fact, Instance, LabeledExamples, Relation, Schema, Value};
 use serde::json::{JsonError, Value as Json};
 use serde::{Deserialize, Serialize, Source};
 use std::sync::Arc;
@@ -97,12 +97,12 @@ impl Deserialize for Instance {
     fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
         let schema = Arc::new(Schema::deserialize(v.req("schema")?)?);
         let labels = Vec::<String>::deserialize(v.req("labels")?)?;
-        let mut inst = Instance::with_labels(schema, labels);
-        let mut facts = v.req("facts")?;
-        let mut args = Vec::new();
-        for mut fact in facts
+        let inst = Instance::with_labels(schema, labels);
+        let mut rows = v.req("facts")?;
+        let mut facts = Vec::new();
+        for mut fact in rows
             .as_arr()
-            .ok_or_else(|| JsonError::mismatch("array", &facts))?
+            .ok_or_else(|| JsonError::mismatch("array", &rows))?
         {
             let mut row = fact
                 .as_arr()
@@ -117,14 +117,12 @@ impl Deserialize for Instance {
                     rel.0
                 )));
             }
-            args.clear();
-            for arg in row {
-                args.push(Value::deserialize(arg)?);
-            }
-            inst.add_fact(rel, &args)
+            let args = row.map(Value::deserialize).collect::<Result<Vec<_>, _>>()?;
+            inst.check_fact(rel, &args)
                 .map_err(|e| JsonError::semantic(format!("invalid fact: {e}")))?;
+            facts.push(Fact { rel, args });
         }
-        Ok(inst)
+        Ok(inst.with_checked_facts(facts))
     }
 }
 
@@ -200,6 +198,28 @@ mod tests {
         let b = back.value_by_label("b").unwrap();
         assert_eq!(back.facts_with_rel_pos_value(r, 0, b).len(), 1);
         assert_eq!(back.canonical_hash(), i.canonical_hash());
+    }
+
+    /// A fact written twice is kept once, at its first position, as
+    /// `add_fact` keeps it; the index built later agrees.
+    #[test]
+    fn repeated_facts_keep_their_first_occurrence() {
+        let text = r#"{"schema":{"relations":[{"name":"R","arity":2}]},"labels":["a","b","c"],"facts":[[0,1,0],[0,0,1],[0,1,0],[0,2,2],[0,0,1],[0,1,0]]}"#;
+        let mut expected = Instance::new(Schema::digraph());
+        expected.add_values("v", 3);
+        let r = expected.schema().rel("R").unwrap();
+        for (a, b) in [(1, 0), (0, 1), (1, 0), (2, 2), (0, 1), (1, 0)] {
+            expected.add_fact(r, &[Value(a), Value(b)]).unwrap();
+        }
+        for back in [
+            serde::from_str::<Instance>(text).unwrap(),
+            serde::json::decode::<Instance>(text).unwrap(),
+        ] {
+            assert_eq!(back.facts(), expected.facts());
+            assert!(back.contains_fact(r, &[Value(2), Value(2)]));
+            assert_eq!(back.facts_with_rel_pos_value(r, 0, Value(1)).len(), 1);
+            assert_eq!(back.facts_containing(Value(0)).len(), 2);
+        }
     }
 
     #[test]
