@@ -46,29 +46,24 @@ pub(crate) struct FactIndex {
 }
 
 impl FactIndex {
-    /// An empty index ready for the relations of `schema` and
-    /// `num_values` values.  Only the per-relation and per-value lists are
-    /// sized up front; the positional lists stay lazy, so memory is linear
-    /// in the schema's slots plus the values, never their product.
-    pub fn new(schema: &Schema, num_values: usize) -> Self {
+    /// The index of `facts` (distinct, ids by position) over the relations
+    /// of `schema` and `num_values` values.  Only the per-relation and
+    /// per-value lists are sized up front; the positional lists grow with
+    /// the values they hold, so memory is linear in the schema's slots plus
+    /// the values, never their product.
+    pub fn build(schema: &Schema, num_values: usize, facts: &[Fact]) -> Self {
         let mut slot_of = Vec::with_capacity(schema.len());
         let mut slots = 0;
         for rel in schema.rel_ids() {
             slot_of.push(slots);
             slots += schema.arity(rel);
         }
-        FactIndex {
+        let mut index = FactIndex {
             by_rel: vec![Vec::new(); schema.len()],
             by_value: vec![Vec::new(); num_values],
             by_rel_pos: vec![Vec::new(); slots],
             slot_of,
-        }
-    }
-
-    /// The index of `facts` (distinct, ids by position) over `num_values`
-    /// values.
-    pub fn build(schema: &Schema, num_values: usize, facts: &[Fact]) -> Self {
-        let mut index = FactIndex::new(schema, num_values);
+        };
         for (i, fact) in facts.iter().enumerate() {
             index.insert(fact, FactId(i as u32));
         }

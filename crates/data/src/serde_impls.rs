@@ -5,11 +5,11 @@
 //! derives expand to nothing), so the impls here are explicit.  Each type
 //! has one decoder, which reads from any `serde::Source`: JSON text
 //! directly (the write-ahead log's replay path) or a parsed value.  The
-//! JSON shapes are stable and documented per type; deserialization goes
-//! through the same validating constructors as programmatic building
-//! ([`Instance::add_fact`], [`Example::new`], [`LabeledExamples::new`]), so
-//! a deserialized object is always internally consistent — including the
-//! rebuilt fact indexes.
+//! JSON shapes are stable and documented per type; deserialization makes
+//! the same checks as programmatic building (those of
+//! [`Instance::add_fact`], [`Example::new`], [`LabeledExamples::new`]), so
+//! a deserialized object is always internally consistent.  A decoded
+//! instance builds its fact index on first use.
 //!
 //! Shapes:
 //!
