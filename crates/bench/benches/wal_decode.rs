@@ -1,22 +1,30 @@
-//! Write-ahead-log replay speed: decoding a seeded log shaped like the
+//! Write-ahead-log codec speed over a seeded log shaped like the
 //! `cold_recovery` workload's (64 digraph workspaces, each a create plus
 //! a churn of single-value examples over 5 values at density 0.3 — at
 //! most 2 positives and 3 negatives live), reported in MB/s of log text.
+//!
+//! `wal_decode` decodes the log's lines (replay); `wal_encode` encodes
+//! its records (appends), plus the wire line of a `durable_ingest`-shaped
+//! `add_example` request with its `request_id` and `trace` metadata.
 
 use cqfit_data::Schema;
-use cqfit_gen::{churn_workload, resolve_churn, RandomConfig, ResolvedChurnOp};
+use cqfit_engine::{ExamplePayload, Polarity, Request};
+use cqfit_gen::{churn_workload, random_example, resolve_churn, RandomConfig, ResolvedChurnOp};
+use cqfit_obs::TraceContext;
 use cqfit_store::record::{decode_record, encode_record};
 use cqfit_store::LogRecord;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::Duration;
 
 const WORKSPACES: u64 = 64;
 const CHURN_STEPS: usize = 34;
 
-/// The log text: every workspace's records, one line each.
-fn cold_log(seed: u64) -> Vec<u8> {
+/// The log's records, every workspace's in turn.
+fn cold_records(seed: u64) -> Vec<LogRecord> {
     let schema = Schema::digraph();
-    let mut log = String::new();
+    let mut records = Vec::new();
     for w in 0..WORKSPACES {
         let cfg = RandomConfig {
             num_values: 5,
@@ -26,10 +34,10 @@ fn cold_log(seed: u64) -> Vec<u8> {
             num_negative: 3,
             seed: seed << 32 | w,
         };
-        log.push_str(&encode_record(&LogRecord::Create {
+        records.push(LogRecord::Create {
             schema: schema.as_ref().clone(),
             arity: 1,
-        }));
+        });
         let ops = churn_workload(&schema, &cfg, CHURN_STEPS);
         let mut next_id = 0;
         for op in resolve_churn(&ops, 0) {
@@ -49,14 +57,23 @@ fn cold_log(seed: u64) -> Vec<u8> {
                     request_id: None,
                 },
             };
-            log.push_str(&encode_record(&record));
+            records.push(record);
         }
     }
-    log.into_bytes()
+    records
+}
+
+/// The log text: every record, one line each.
+fn cold_log(records: &[LogRecord]) -> Vec<u8> {
+    records
+        .iter()
+        .map(encode_record)
+        .collect::<String>()
+        .into_bytes()
 }
 
 fn bench_wal_decode(c: &mut Criterion) {
-    let log = cold_log(1);
+    let log = cold_log(&cold_records(1));
     let lines: Vec<&[u8]> = log
         .split(|&b| b == b'\n')
         .filter(|l| !l.is_empty())
@@ -78,5 +95,57 @@ fn bench_wal_decode(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wal_decode);
+fn bench_wal_encode(c: &mut Criterion) {
+    let records = cold_records(1);
+    let log_bytes = cold_log(&records).len() as u64;
+    let mut group = c.benchmark_group("wal_encode");
+    group
+        .sample_size(40)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300))
+        .throughput(Throughput::Bytes(log_bytes));
+    let label = format!("cold_log/{}_records", records.len());
+    group.bench_function(label.as_str(), |b| {
+        b.iter(|| {
+            for record in &records {
+                black_box(encode_record(record));
+            }
+        })
+    });
+
+    // A `durable_ingest` add: a negative single-value digraph example
+    // over 8 values at density 0.25, with both metadata fields.
+    let cfg = RandomConfig {
+        num_values: 8,
+        density: 0.25,
+        arity: 1,
+        ..RandomConfig::default()
+    };
+    let example = random_example(&Schema::digraph(), &cfg, &mut StdRng::seed_from_u64(1));
+    let request = Request::AddExample {
+        workspace: "ingest".into(),
+        polarity: Polarity::Negative,
+        example: ExamplePayload::Structured(example),
+    };
+    let ctx = TraceContext {
+        trace_id: (7u128 << 64) | 9,
+        span_id: 0xABCD,
+        parent_span_id: 0x1234,
+    };
+    let (id, mut frame) = (1u64 << 62, String::new());
+    request.write_with_meta(id, Some(&ctx), &mut frame);
+    group.throughput(Throughput::Bytes(frame.len() as u64 + 1));
+    let label = format!("add_example_request/{}_bytes", frame.len() + 1);
+    group.bench_function(label.as_str(), |b| {
+        b.iter(|| {
+            let mut frame = String::new();
+            request.write_with_meta(id, Some(&ctx), &mut frame);
+            frame.push('\n');
+            black_box(frame)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_wal_decode, bench_wal_encode);
 criterion_main!(benches);

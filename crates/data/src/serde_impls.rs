@@ -1,10 +1,11 @@
 //! Hand-written serde round-trips for the data model.
 //!
-//! The vendored `serde` stand-in exposes functional `Serialize::to_json` /
-//! `Deserialize::deserialize` traits over a JSON value model (its no-op
-//! derives expand to nothing), so the impls here are explicit.  Each type
-//! has one decoder, which reads from any `serde::Source`: JSON text
-//! directly (the write-ahead log's replay path) or a parsed value.  The
+//! The vendored `serde` stand-in exposes functional `Serialize::serialize`
+//! / `Deserialize::deserialize` traits (its no-op derives expand to
+//! nothing), so the impls here are explicit.  Each type has one encoder,
+//! which writes JSON text straight into the caller's buffer, and one
+//! decoder, which reads from any `serde::Source`: JSON text directly (the
+//! write-ahead log's replay path) or a parsed value.  The
 //! JSON shapes are stable and documented per type; deserialization makes
 //! the same checks as programmatic building (those of
 //! [`Instance::add_fact`], [`Example::new`], [`LabeledExamples::new`]), so
@@ -24,13 +25,13 @@
 //! dense indices.
 
 use crate::{Example, Fact, Instance, LabeledExamples, Relation, Schema, Value};
-use serde::json::{JsonError, Value as Json};
+use serde::json::{self, JsonError};
 use serde::{Deserialize, Serialize, Source};
 use std::sync::Arc;
 
 impl Serialize for Value {
-    fn to_json(&self) -> Json {
-        Json::Int(i64::from(self.0))
+    fn serialize(&self, out: &mut String) {
+        self.0.serialize(out);
     }
 }
 
@@ -41,11 +42,10 @@ impl Deserialize for Value {
 }
 
 impl Serialize for Relation {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(&self.name)),
-            ("arity", Json::Int(self.arity as i64)),
-        ])
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("name", &self.name).field("arity", &self.arity);
+        });
     }
 }
 
@@ -59,8 +59,10 @@ impl Deserialize for Relation {
 }
 
 impl Serialize for Schema {
-    fn to_json(&self) -> Json {
-        Json::obj([("relations", self.relations().to_vec().to_json())])
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("relations", self.relations());
+        });
     }
 }
 
@@ -73,23 +75,17 @@ impl Deserialize for Schema {
 }
 
 impl Serialize for Instance {
-    fn to_json(&self) -> Json {
-        let labels: Vec<String> = self.values().map(|v| self.label(v).to_string()).collect();
-        let facts: Vec<Json> = self
-            .facts()
-            .iter()
-            .map(|f| {
-                let mut row = Vec::with_capacity(f.args.len() + 1);
-                row.push(Json::Int(i64::from(f.rel.0)));
-                row.extend(f.args.iter().map(|a| Json::Int(i64::from(a.0))));
-                Json::Arr(row)
-            })
-            .collect();
-        Json::obj([
-            ("schema", self.schema().as_ref().to_json()),
-            ("labels", labels.to_json()),
-            ("facts", Json::Arr(facts)),
-        ])
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("schema", self.schema().as_ref());
+            json::write_array(o.key("labels"), self.values(), |v, out| {
+                json::write_str(out, self.label(v));
+            });
+            json::write_array(o.key("facts"), self.facts(), |f, out| {
+                let row = std::iter::once(&f.rel.0).chain(f.args.iter().map(|a| &a.0));
+                json::write_array(out, row, u32::serialize);
+            });
+        });
     }
 }
 
@@ -127,11 +123,11 @@ impl Deserialize for Instance {
 }
 
 impl Serialize for Example {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("instance", self.instance().to_json()),
-            ("distinguished", self.distinguished().to_vec().to_json()),
-        ])
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("instance", self.instance())
+                .field("distinguished", self.distinguished());
+        });
     }
 }
 
@@ -152,11 +148,11 @@ impl Deserialize for Example {
 }
 
 impl Serialize for LabeledExamples {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("positives", self.positives().to_vec().to_json()),
-            ("negatives", self.negatives().to_vec().to_json()),
-        ])
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("positives", self.positives())
+                .field("negatives", self.negatives());
+        });
     }
 }
 

@@ -31,6 +31,9 @@ use std::time::Duration;
 /// override it with [`Client::set_call_timeout`]`(None)`.
 pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Size of the client's socket read buffer.
+const READ_BUF_BYTES: usize = 64 * 1024;
+
 /// Retry schedule shared by [`Client::call`] and the connecting
 /// constructors: up to `attempts` tries, sleeping between consecutive
 /// tries (never after the last) for a jittered, capped exponential
@@ -65,6 +68,8 @@ pub struct Client {
     /// connection.  Cleared on every (re)connect so a stale partial
     /// reply can never be parsed as the answer to a newer request.
     pending: Vec<u8>,
+    /// The buffer every socket read lands in, allocated once.
+    read_buf: Box<[u8]>,
     timeout: Option<Duration>,
     retry: RetryPolicy,
     /// The client-side metrics registry: retry/reconnect/backoff
@@ -99,6 +104,7 @@ impl Client {
             addr: addr.to_string(),
             conn: None,
             pending: Vec::new(),
+            read_buf: vec![0u8; READ_BUF_BYTES].into_boxed_slice(),
             timeout: Some(DEFAULT_CALL_TIMEOUT),
             retry: RetryPolicy::default(),
             registry,
@@ -208,11 +214,14 @@ impl Client {
     fn read_line(&mut self, deadline: Option<Duration>) -> io::Result<String> {
         loop {
             if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let raw: Vec<u8> = self.pending.drain(..=pos).collect();
-                let line = String::from_utf8(raw).map_err(|e| {
-                    io::Error::new(ErrorKind::InvalidData, format!("non-UTF-8 response: {e}"))
-                })?;
-                return Ok(line.trim_end().to_string());
+                // One allocation: the trimmed line, copied out of `pending`.
+                let line = std::str::from_utf8(&self.pending[..=pos])
+                    .map(|line| line.trim_end().to_string())
+                    .map_err(|e| {
+                        io::Error::new(ErrorKind::InvalidData, format!("non-UTF-8 response: {e}"))
+                    });
+                self.pending.drain(..=pos);
+                return line;
             }
             let remaining = match deadline {
                 Some(d) => {
@@ -231,31 +240,23 @@ impl Client {
                 .conn
                 .as_mut()
                 .ok_or_else(|| io::Error::new(ErrorKind::NotConnected, "not connected"))?;
-            let mut buf = [0u8; 64 * 1024];
-            let n = conn.read(&mut buf, remaining)?;
+            let n = conn.read(&mut self.read_buf, remaining)?;
             if n == 0 {
                 return Err(io::Error::new(
                     ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 ));
             }
-            self.pending.extend_from_slice(&buf[..n]);
+            self.pending.extend_from_slice(&self.read_buf[..n]);
         }
     }
 
     /// One write-then-read exchange on the current connection, under the
-    /// per-request deadline.  No retries.
-    fn exchange(&mut self, line: &str) -> io::Result<String> {
-        let deadline = self.timeout.map(|t| self.env.clock().monotonic() + t);
-        self.ensure_connected()?;
-        let conn = self.conn.as_mut().expect("just connected");
-        // One buffered write per request: a single syscall on the real
-        // path, and a single frame (one write mark) under the simulator.
-        let mut frame = Vec::with_capacity(line.len() + 1);
-        frame.extend_from_slice(line.as_bytes());
-        frame.push(b'\n');
-        conn.write_all(&frame)?;
-        self.read_line(deadline)
+    /// per-request deadline: `frame` is one request line with its `\n`.
+    /// No retries.
+    fn exchange(&mut self, frame: &str) -> io::Result<String> {
+        self.exchange_batch(frame, 1)
+            .map(|mut replies| replies.pop().expect("one reply"))
     }
 
     /// Whether a failed exchange is worth a reconnect-and-retry: the
@@ -282,7 +283,7 @@ impl Client {
     /// # Errors
     /// Propagates I/O failures; EOF is `UnexpectedEof`.
     pub fn call_raw(&mut self, line: &str) -> io::Result<String> {
-        let result = self.exchange(line);
+        let result = self.exchange(&format!("{line}\n"));
         if result.is_err() {
             self.disconnect();
         }
@@ -334,10 +335,13 @@ impl Client {
             }
             let attempt_ctx = span.context();
             prev_attempt = Some(attempt_ctx);
-            let line = request
-                .to_json_with_meta(id, Some(&attempt_ctx))
-                .to_string();
-            match self.exchange(&line) {
+            // One buffered write per request: a single syscall on the
+            // real path, and a single frame (one write mark) under the
+            // simulator.
+            let mut frame = String::new();
+            request.write_with_meta(id, Some(&attempt_ctx), &mut frame);
+            frame.push('\n');
+            match self.exchange(&frame) {
                 Ok(reply) => {
                     span.finish(&self.tracer);
                     root.finish(&self.tracer);
@@ -417,11 +421,7 @@ impl Client {
                 span.annotate("workspace", ws);
             }
             span.annotate("request_id", id.to_string());
-            frame.push_str(
-                &request
-                    .to_json_with_meta(*id, Some(&span.context()))
-                    .to_string(),
-            );
+            request.write_with_meta(*id, Some(&span.context()), &mut frame);
             frame.push('\n');
             request_spans.push(span);
         }

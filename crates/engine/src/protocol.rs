@@ -27,7 +27,7 @@
 use cqfit_data::{Example, Schema};
 use cqfit_obs::{TraceContext, TraceSpan};
 use cqfit_query::{Cq, Ucq};
-use serde::json::{JsonError, Value as Json};
+use serde::json::{self, JsonError, Object, Value as Json};
 use serde::{Deserialize, Serialize, Source};
 
 /// Whether an example is added to `E⁺` or `E⁻`.
@@ -188,16 +188,22 @@ impl Request {
     /// opens its request span as a child of it; absent, the server roots
     /// a fresh trace (pre-PR10 clients keep working unchanged).
     pub fn to_json_with_meta(&self, request_id: u64, trace: Option<&TraceContext>) -> Json {
-        match self.to_json() {
-            Json::Obj(mut fields) => {
-                fields.push(("request_id".to_string(), request_id.to_json()));
-                if let Some(ctx) = trace {
-                    fields.push(("trace".to_string(), ctx.to_json()));
-                }
-                Json::Obj(fields)
+        let mut out = String::new();
+        self.write_with_meta(request_id, trace, &mut out);
+        Json::parse(&out).expect("a request writes valid JSON")
+    }
+
+    /// Appends the text of [`Request::to_json_with_meta`] to `out`, with
+    /// no tree in between: the request's fields, then `request_id`, then
+    /// `trace` when given.
+    pub fn write_with_meta(&self, request_id: u64, trace: Option<&TraceContext>, out: &mut String) {
+        json::write_object(out, |o| {
+            self.encode_row(o);
+            o.field("request_id", &request_id);
+            if let Some(ctx) = trace {
+                o.field("trace", ctx);
             }
-            other => other,
-        }
+        });
     }
 
     /// Extracts the optional idempotency key from a parsed request
@@ -488,11 +494,14 @@ impl Response {
 macro_rules! wire_enum {
     ($ty:ident, $what:literal, $a:ident => $a_name:literal, $b:ident => $b_name:literal) => {
         impl Serialize for $ty {
-            fn to_json(&self) -> Json {
-                Json::str(match self {
-                    $ty::$a => $a_name,
-                    $ty::$b => $b_name,
-                })
+            fn serialize(&self, out: &mut String) {
+                json::write_str(
+                    out,
+                    match self {
+                        $ty::$a => $a_name,
+                        $ty::$b => $b_name,
+                    },
+                );
             }
         }
 
@@ -516,14 +525,11 @@ wire_enum!(Polarity, "polarity", Positive => "positive", Negative => "negative")
 wire_enum!(QueryClass, "query class", Cq => "cq", Ucq => "ucq");
 wire_enum!(FitMode, "fit mode", Plain => "plain", Minimized => "minimized");
 
-/// The key/value pairs of one JSON object under construction.
-type Fields = Vec<(&'static str, Json)>;
-
 /// How one field of a wire-table row sits in the row's JSON object.
 trait Field: Sized {
-    /// Appends the field to the object; `key` is the field's name in the
-    /// row.
-    fn put(&self, key: &'static str, out: &mut Fields);
+    /// Writes the field into the object; `key` is the field's name in
+    /// the row.
+    fn put(&self, key: &'static str, o: &mut Object<'_>);
     /// Reads the field back from the whole object.
     fn take<'de, S: Source<'de>>(v: &mut S, key: &str) -> Result<Self, JsonError>;
 }
@@ -532,8 +538,8 @@ trait Field: Sized {
 macro_rules! required_fields {
     ($($t:ty),* $(,)?) => {$(
         impl Field for $t {
-            fn put(&self, key: &'static str, out: &mut Fields) {
-                out.push((key, self.to_json()));
+            fn put(&self, key: &'static str, o: &mut Object<'_>) {
+                o.field(key, self);
             }
             fn take<'de, S: Source<'de>>(v: &mut S, key: &str) -> Result<Self, JsonError> {
                 <$t>::deserialize(v.req(key)?)
@@ -557,8 +563,10 @@ required_fields!(
 
 /// An optional field: written only when set, `None` when absent.
 impl Field for Option<u64> {
-    fn put(&self, key: &'static str, out: &mut Fields) {
-        out.extend(self.map(|value| (key, value.to_json())));
+    fn put(&self, key: &'static str, o: &mut Object<'_>) {
+        if let Some(value) = self {
+            o.field(key, value);
+        }
     }
     fn take<'de, S: Source<'de>>(v: &mut S, key: &str) -> Result<Self, JsonError> {
         v.get(key).map(u64::deserialize).transpose()
@@ -567,11 +575,11 @@ impl Field for Option<u64> {
 
 /// An example sits under `example` (structured) or `text`, never both.
 impl Field for ExamplePayload {
-    fn put(&self, _: &'static str, out: &mut Fields) {
-        out.push(match self {
-            ExamplePayload::Structured(e) => ("example", e.to_json()),
-            ExamplePayload::Text(t) => ("text", Json::str(t)),
-        });
+    fn put(&self, _: &'static str, o: &mut Object<'_>) {
+        match self {
+            ExamplePayload::Structured(e) => o.field("example", e),
+            ExamplePayload::Text(t) => o.field("text", t),
+        };
     }
     fn take<'de, S: Source<'de>>(v: &mut S, _: &str) -> Result<Self, JsonError> {
         match (v.get("example"), v.get("text")) {
@@ -590,16 +598,14 @@ impl Field for ExamplePayload {
 /// A fitting sits as `found` plus, when found, its display text, size
 /// and JSON form, read back as a CQ or a UCQ per the reply's `class`.
 impl Field for Option<FitQuery> {
-    fn put(&self, _: &'static str, out: &mut Fields) {
-        out.push(("found", Json::Bool(self.is_some())));
+    fn put(&self, _: &'static str, o: &mut Object<'_>) {
+        o.field("found", &self.is_some());
         if let Some(q) = self {
-            out.push(("query", Json::str(q.display())));
-            out.push(("size", q.size().to_json()));
-            let query_json = match q {
-                FitQuery::Cq(q) => q.to_json(),
-                FitQuery::Ucq(q) => q.to_json(),
+            o.field("query", &q.display()).field("size", &q.size());
+            match q {
+                FitQuery::Cq(q) => o.field("query_json", q),
+                FitQuery::Ucq(q) => o.field("query_json", q),
             };
-            out.push(("query_json", query_json));
         }
     }
     fn take<'de, S: Source<'de>>(v: &mut S, _: &str) -> Result<Self, JsonError> {
@@ -614,14 +620,13 @@ impl Field for Option<FitQuery> {
     }
 }
 
-/// A `(name, value)` list as a JSON object.
-fn object_of<T>(pairs: &[(String, T)], value: impl Fn(&T) -> Json) -> Json {
-    Json::Obj(
-        pairs
-            .iter()
-            .map(|(name, v)| (name.clone(), value(v)))
-            .collect(),
-    )
+/// Writes a `(name, value)` list as a JSON object.
+fn write_pairs<T>(out: &mut String, pairs: &[(String, T)], value: impl Fn(&T, &mut String)) {
+    json::write_object(out, |o| {
+        for (name, v) in pairs {
+            value(v, o.key(name));
+        }
+    });
 }
 
 /// A JSON object read back as a `(name, value)` list.
@@ -652,39 +657,35 @@ fn zero_if_absent<'de, S: Source<'de>, T: Deserialize + Default>(
 /// Engine statistics sit flat in the reply, the cache and store parts
 /// as nested objects present only when configured.
 impl Field for EngineStats {
-    fn put(&self, _: &'static str, out: &mut Fields) {
-        out.extend([
-            ("requests", self.requests.to_json()),
-            ("workspaces", self.workspaces.to_json()),
-            ("uptime_ms", self.uptime_ms.to_json()),
-            ("pipeline_window", self.pipeline_window.to_json()),
-            ("memo_workspaces", self.memo_workspaces.to_json()),
-            ("memo_entries", self.memo_entries.to_json()),
-            ("caching", Json::Bool(self.cache.is_some())),
-        ]);
+    fn put(&self, _: &'static str, o: &mut Object<'_>) {
+        o.field("requests", &self.requests)
+            .field("workspaces", &self.workspaces)
+            .field("uptime_ms", &self.uptime_ms)
+            .field("pipeline_window", &self.pipeline_window)
+            .field("memo_workspaces", &self.memo_workspaces)
+            .field("memo_entries", &self.memo_entries)
+            .field("caching", &self.cache.is_some());
         if let Some(c) = &self.cache {
-            let cache = Json::obj([
-                ("hom_hits", c.hom_hits.to_json()),
-                ("hom_misses", c.hom_misses.to_json()),
-                ("core_hits", c.core_hits.to_json()),
-                ("core_misses", c.core_misses.to_json()),
-                ("hom_entries", c.hom_entries.to_json()),
-                ("core_entries", c.core_entries.to_json()),
-                ("hit_rate", Json::Float(c.hit_rate())),
-            ]);
-            out.push(("cache", cache));
+            json::write_object(o.key("cache"), |o| {
+                o.field("hom_hits", &c.hom_hits)
+                    .field("hom_misses", &c.hom_misses)
+                    .field("core_hits", &c.core_hits)
+                    .field("core_misses", &c.core_misses)
+                    .field("hom_entries", &c.hom_entries)
+                    .field("core_entries", &c.core_entries)
+                    .field("hit_rate", &c.hit_rate());
+            });
         }
         if let Some(s) = &self.store {
-            let store = Json::obj([
-                ("workspaces", s.workspaces.to_json()),
-                ("records", s.records.to_json()),
-                ("bytes", s.bytes.to_json()),
-                ("compactions", s.compactions.to_json()),
-                ("bytes_compacted", s.bytes_compacted.to_json()),
-            ]);
-            out.push(("store", store));
+            json::write_object(o.key("store"), |o| {
+                o.field("workspaces", &s.workspaces)
+                    .field("records", &s.records)
+                    .field("bytes", &s.bytes)
+                    .field("compactions", &s.compactions)
+                    .field("bytes_compacted", &s.bytes_compacted);
+            });
         }
-        out.push(("revisions", object_of(&self.revisions, u64::to_json)));
+        write_pairs(o.key("revisions"), &self.revisions, u64::serialize);
     }
     fn take<'de, S: Source<'de>>(v: &mut S, _: &str) -> Result<Self, JsonError> {
         let cache = match v.get("cache") {
@@ -730,34 +731,27 @@ impl Field for EngineStats {
 /// histogram summaries as objects keyed by metric name, and the event
 /// ring as an array.
 impl Field for cqfit_obs::Snapshot {
-    fn put(&self, _: &'static str, out: &mut Fields) {
-        let histogram = |h: &cqfit_obs::HistogramSummary| {
-            Json::obj([
-                ("count", h.count.to_json()),
-                ("sum", h.sum.to_json()),
-                ("max", h.max.to_json()),
-                ("p50", h.p50.to_json()),
-                ("p90", h.p90.to_json()),
-                ("p99", h.p99.to_json()),
-            ])
+    fn put(&self, _: &'static str, o: &mut Object<'_>) {
+        let histogram = |h: &cqfit_obs::HistogramSummary, out: &mut String| {
+            json::write_object(out, |o| {
+                o.field("count", &h.count)
+                    .field("sum", &h.sum)
+                    .field("max", &h.max)
+                    .field("p50", &h.p50)
+                    .field("p90", &h.p90)
+                    .field("p99", &h.p99);
+            });
         };
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                Json::obj([
-                    ("at_ns", e.at_ns.to_json()),
-                    ("kind", Json::str(&e.kind)),
-                    ("detail", Json::str(&e.detail)),
-                ])
-            })
-            .collect();
-        out.extend([
-            ("counters", object_of(&self.counters, u64::to_json)),
-            ("gauges", object_of(&self.gauges, i64::to_json)),
-            ("histograms", object_of(&self.histograms, histogram)),
-            ("events", Json::Arr(events)),
-        ]);
+        write_pairs(o.key("counters"), &self.counters, u64::serialize);
+        write_pairs(o.key("gauges"), &self.gauges, i64::serialize);
+        write_pairs(o.key("histograms"), &self.histograms, histogram);
+        json::write_array(o.key("events"), &self.events, |e, out| {
+            json::write_object(out, |o| {
+                o.field("at_ns", &e.at_ns)
+                    .field("kind", &e.kind)
+                    .field("detail", &e.detail);
+            });
+        });
     }
     fn take<'de, S: Source<'de>>(v: &mut S, _: &str) -> Result<Self, JsonError> {
         let histogram = |mut h: S| {
@@ -815,18 +809,18 @@ macro_rules! wire_table {
                 }
             }
 
-            /// Appends the tag and fields of this variant's row (nothing
+            /// Writes the tag and fields of this variant's row (nothing
             /// when it is not a table row).
             #[allow(unreachable_patterns)]
-            fn encode_row(&self, out: &mut Fields) {
+            fn encode_row(&self, o: &mut Object<'_>) {
                 let Some(name) = self.wire_name() else {
                     return;
                 };
-                out.push(($tag, Json::str(name)));
+                o.field($tag, name);
                 match self {
                     $($ty::$variant $(($inner))? $({ $($field),* })? => {
-                        $(Field::put($inner, stringify!($inner), out);)?
-                        $($(Field::put($field, stringify!($field), out);)*)?
+                        $(Field::put($inner, stringify!($inner), o);)?
+                        $($(Field::put($field, stringify!($field), o);)*)?
                     })*
                     _ => {}
                 }
@@ -893,10 +887,8 @@ wire_table! {
 }
 
 impl Serialize for Request {
-    fn to_json(&self) -> Json {
-        let mut out = Fields::new();
-        self.encode_row(&mut out);
-        Json::obj(out)
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| self.encode_row(o));
     }
 }
 
@@ -909,16 +901,21 @@ impl Deserialize for Request {
 }
 
 impl Serialize for Response {
-    fn to_json(&self) -> Json {
-        let mut out = vec![("ok", Json::Bool(self.is_ok()))];
-        if let Response::Error { message, line, col } = self {
-            out.push(("error", Json::str(message)));
-            out.extend(line.map(|line| ("line", Json::Int(line as i64))));
-            out.extend(col.map(|col| ("col", Json::Int(col as i64))));
-        } else {
-            self.encode_row(&mut out);
-        }
-        Json::obj(out)
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("ok", &self.is_ok());
+            if let Response::Error { message, line, col } = self {
+                o.field("error", message);
+                if let Some(line) = line {
+                    o.field("line", line);
+                }
+                if let Some(col) = col {
+                    o.field("col", col);
+                }
+            } else {
+                self.encode_row(o);
+            }
+        });
     }
 }
 
@@ -927,14 +924,8 @@ impl Deserialize for Response {
         if !bool::take(&mut v, "ok")? {
             return Ok(Response::Error {
                 message: String::take(&mut v, "error")?,
-                line: v
-                    .get("line")
-                    .and_then(|mut l| l.as_i64())
-                    .map(|l| l as usize),
-                col: v
-                    .get("col")
-                    .and_then(|mut c| c.as_i64())
-                    .map(|c| c as usize),
+                line: v.get("line").map(usize::deserialize).transpose()?,
+                col: v.get("col").map(usize::deserialize).transpose()?,
             });
         }
         let kind = String::take(&mut v, "kind")?;

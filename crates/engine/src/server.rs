@@ -37,7 +37,7 @@ use crate::engine::Engine;
 use crate::protocol::{Request, Response};
 use cqfit_env::{Clock, Env, NetConn, NetListener};
 use cqfit_obs::TraceContext;
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 use std::io::{self, ErrorKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -495,15 +495,14 @@ fn serve_connection(
         // single frame in request order.  One write per batch matters on
         // real TCP — a train of tiny per-response writes provokes the
         // Nagle + delayed-ACK stall (~40ms per pipelined burst).
-        let mut reply_frame = Vec::new();
+        let mut reply_frame = String::new();
         for slot in &slots {
             let response = match slot {
                 Slot::Done(response) => response,
                 Slot::Pending(i) => &responses[*i],
             };
-            let mut text = serde::to_string(response);
-            text.push('\n');
-            reply_frame.extend_from_slice(text.as_bytes());
+            response.serialize(&mut reply_frame);
+            reply_frame.push('\n');
         }
         // The reply time is read before the reply is written: once the
         // bytes are out, the client may run (and read its own clock)
@@ -513,7 +512,7 @@ fn serve_connection(
         let write_result = if reply_frame.is_empty() {
             Ok(())
         } else {
-            conn.write_all(&reply_frame)
+            conn.write_all(reply_frame.as_bytes())
         };
         // Close out the batch's spans: one span per dispatched request,
         // plus the end-to-end latency sample each contributes to the

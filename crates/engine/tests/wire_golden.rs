@@ -10,13 +10,19 @@
 //! On a mismatch the test prints every differing line and the full
 //! rendering, so an intended wire change can be reviewed line by line
 //! and the golden file updated from the printed text.
+//!
+//! The writer is also checked against the tree: every value's text must
+//! read back as a `Value` that prints the same text.
 
-use cqfit_data::{parse_example, Schema};
+use cqfit_data::{parse_example, Example, Instance, Schema};
 use cqfit_engine::{
     EngineStats, ExamplePayload, FitMode, FitQuery, Polarity, QueryClass, Request, Response,
 };
+use cqfit_gen::{random_example, RandomConfig};
 use cqfit_obs::{Registry, TraceContext, TraceSpan};
 use cqfit_query::{parse_cq, Ucq};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::json::Value as Json;
 use serde::Deserialize;
 
@@ -355,6 +361,7 @@ const MALFORMED_RESPONSES: &[&str] = &[
     r#"{"ok":true,"kind":"traces","spans":{}}"#,
     r#"{"ok":true,"kind":"stats","requests":1,"workspaces":0,"caching":false}"#,
     r#"{"ok":true,"kind":"metrics","counters":{},"gauges":{},"histograms":{}}"#,
+    r#"{"ok":false,"error":"x","line":-1,"col":-2}"#,
 ];
 
 fn render() -> String {
@@ -374,7 +381,12 @@ fn render() -> String {
         let plain = serde::to_string(&request);
         line(format!("request {label}"), plain.clone());
         let meta = request.to_json_with_meta((1 << 62) + 5, Some(&ctx));
-        line(format!("request+meta {label}"), meta.to_string());
+        // The client writes its frames straight from the request; that
+        // text is the tree's, byte for byte.
+        let mut written = String::new();
+        request.write_with_meta((1 << 62) + 5, Some(&ctx), &mut written);
+        assert_eq!(written, meta.to_string(), "request+meta {label} writer");
+        line(format!("request+meta {label}"), written);
         // Decoding the pinned text gives back the same request.
         let back: Request = serde::from_str(&plain).unwrap();
         assert_eq!(serde::to_string(&back), plain, "request {label} round trip");
@@ -465,4 +477,105 @@ fn direct_decode_of_every_pinned_line_matches_the_tree() {
             same::<Response>(&text[..cut]);
         }
     }
+}
+
+/// The text `serde::to_string` writes reads back as a tree that prints
+/// the same text.
+fn writes_as_the_tree<T: serde::Serialize + ?Sized>(x: &T) {
+    let text = serde::to_string(x);
+    let tree = Json::parse(&text).unwrap_or_else(|e| panic!("{text:?} does not parse: {e}"));
+    assert_eq!(tree.to_string(), text);
+}
+
+/// The writer and the tree agree on every pinned request and response,
+/// on seeded random examples, and on the awkward corners: labels that
+/// need escapes, ids past `i64::MAX`, and floats JSON cannot spell.
+#[test]
+fn the_writer_matches_the_tree() {
+    for (_, request) in requests() {
+        writes_as_the_tree(&request);
+    }
+    for (_, response) in responses() {
+        writes_as_the_tree(&response);
+    }
+
+    let schemas = [
+        Schema::digraph(),
+        Schema::binary_schema(["P", "Q"], ["R", "S"]),
+        std::sync::Arc::new(Schema::new([("T", 3), ("P", 1)]).unwrap()),
+    ];
+    for seed in 0..48u64 {
+        let cfg = RandomConfig {
+            num_values: 2 + (seed as usize % 5),
+            density: 0.2 + 0.1 * (seed % 4) as f64,
+            arity: (seed % 3) as usize,
+            seed,
+            ..RandomConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let example = random_example(&schemas[seed as usize % 3], &cfg, &mut rng);
+        writes_as_the_tree(&example);
+        writes_as_the_tree(&Request::AddExample {
+            workspace: format!("ws-{seed}"),
+            polarity: Polarity::Positive,
+            example: ExamplePayload::Structured(example),
+        });
+    }
+
+    let labels = [
+        "quote\"d",
+        "back\\slash",
+        "new\nline",
+        "\u{1}",
+        "\u{1f}",
+        "\r\t\u{8}\u{c}\u{7f}",
+        "é ⊤ ü",
+        "😀 emoji",
+        "",
+    ];
+    let mut instance = Instance::new(Schema::digraph());
+    for pair in labels.windows(2) {
+        instance.add_fact_labels("R", pair).unwrap();
+    }
+    let distinguished = vec![instance.value_by_label("😀 emoji").unwrap()];
+    writes_as_the_tree(&Example::new(instance, distinguished));
+    for label in labels {
+        writes_as_the_tree(label);
+        writes_as_the_tree(&Request::DropWorkspace {
+            workspace: label.to_string(),
+        });
+        writes_as_the_tree(&Response::error(label));
+    }
+
+    let huge = i64::MAX as u64 + 1;
+    for id in [0, i64::MAX as u64, huge, u64::MAX] {
+        writes_as_the_tree(&id);
+        writes_as_the_tree(&Response::ExampleAdded {
+            polarity: Polarity::Negative,
+            id,
+        });
+        writes_as_the_tree(&Request::SlowRequests { over_us: Some(id) });
+        let mut written = String::new();
+        Request::Ping.write_with_meta(id, None, &mut written);
+        assert_eq!(written, Request::Ping.to_json_with_id(id).to_string());
+        assert_eq!(Json::parse(&written).unwrap().to_string(), written);
+    }
+    assert_eq!(serde::to_string(&huge), "\"9223372036854775808\"");
+    assert_eq!(serde::to_string(&u64::MAX), "\"18446744073709551615\"");
+
+    for f in [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        1e300,
+        0.1,
+        1.0,
+        5e-324,
+    ] {
+        writes_as_the_tree(&f);
+        writes_as_the_tree(&vec![Some(f), None]);
+    }
+    let floats = vec![f64::NAN, f64::INFINITY, -0.0, 1e300, 0.1];
+    assert_eq!(serde::to_string(&floats), "[null,null,-0.0,1e300,0.1]");
 }

@@ -2,8 +2,7 @@
 //! `chrome://tracing`) and a plain-text per-trace waterfall.  Shared by
 //! the `cqfit-trace` bin and the `cqfit-session trace` verb.
 
-use serde::json::Value as Json;
-use serde::Serialize;
+use serde::json;
 
 use crate::trace::TraceSpan;
 
@@ -14,9 +13,9 @@ use crate::trace::TraceSpan;
 /// alongside every annotation.
 pub fn render_chrome_trace(spans: &[TraceSpan]) -> String {
     let mut lanes: Vec<u128> = Vec::new();
-    let events: Vec<Json> = spans
-        .iter()
-        .map(|span| {
+    let mut out = String::new();
+    json::write_object(&mut out, |doc| {
+        json::write_array(doc.key("traceEvents"), spans, |span, out| {
             let lane = match lanes.iter().position(|&t| t == span.trace_id) {
                 Some(at) => at,
                 None => {
@@ -24,40 +23,27 @@ pub fn render_chrome_trace(spans: &[TraceSpan]) -> String {
                     lanes.len() - 1
                 }
             };
-            let mut args = vec![
-                (
-                    "trace_id".to_string(),
-                    Json::str(format!("{:032x}", span.trace_id)),
-                ),
-                (
-                    "span_id".to_string(),
-                    Json::str(format!("{:016x}", span.span_id)),
-                ),
-                (
-                    "parent_span_id".to_string(),
-                    Json::str(format!("{:016x}", span.parent_span_id)),
-                ),
-            ];
-            for (key, value) in &span.annotations {
-                args.push((key.clone(), Json::str(value.clone())));
-            }
-            Json::obj([
-                ("name", Json::str(span.name.clone())),
-                ("cat", Json::str("cqfit")),
-                ("ph", Json::str("X")),
-                ("ts", Json::Float(span.start_ns as f64 / 1_000.0)),
-                ("dur", Json::Float(span.duration_ns() as f64 / 1_000.0)),
-                ("pid", 1u32.to_json()),
-                ("tid", (lane + 1).to_json()),
-                ("args", Json::Obj(args)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", Json::str("ns")),
-    ])
-    .to_string()
+            json::write_object(out, |o| {
+                o.field("name", &span.name)
+                    .field("cat", "cqfit")
+                    .field("ph", "X")
+                    .field("ts", &(span.start_ns as f64 / 1_000.0))
+                    .field("dur", &(span.duration_ns() as f64 / 1_000.0))
+                    .field("pid", &1u32)
+                    .field("tid", &(lane + 1));
+                json::write_object(o.key("args"), |args| {
+                    args.field("trace_id", &format!("{:032x}", span.trace_id))
+                        .field("span_id", &format!("{:016x}", span.span_id))
+                        .field("parent_span_id", &format!("{:016x}", span.parent_span_id));
+                    for (key, value) in &span.annotations {
+                        args.field(key, value);
+                    }
+                });
+            });
+        });
+        doc.field("displayTimeUnit", "ns");
+    });
+    out
 }
 
 /// Renders spans as plain-text waterfalls, one block per trace: children
@@ -150,7 +136,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_nested_pairs() {
         let text = render_chrome_trace(&tree());
-        let v = Json::parse(&text).expect("valid chrome trace JSON");
+        let v = serde::json::Value::parse(&text).expect("valid chrome trace JSON");
         let events = v.req("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(events.len(), 4);
         for event in events {

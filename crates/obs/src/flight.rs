@@ -30,7 +30,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cqfit_env::{Env, FsFile, OpenMode};
-use serde::Serialize;
 
 use crate::trace::TraceSpan;
 
@@ -174,11 +173,11 @@ impl FlightRecorder {
     /// success, so a failed slot is overwritten by the next attempt's
     /// bytes landing at the same EOF.
     pub fn record(&self, span: &TraceSpan) -> io::Result<()> {
-        let mut payload = span.to_json().to_string().into_bytes();
+        let mut payload = serde::to_string(span).into_bytes();
         if payload.len() > FR_MAX_PAYLOAD {
             let mut trimmed = span.clone();
             trimmed.annotations.clear();
-            payload = trimmed.to_json().to_string().into_bytes();
+            payload = serde::to_string(&trimmed).into_bytes();
         }
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if payload.len() > FR_MAX_PAYLOAD {

@@ -15,9 +15,10 @@
 use std::sync::{Arc, Mutex};
 
 use cqfit_env::Env;
-use serde::json::{JsonError, Value as Json};
+use serde::json::{self, JsonError, Object};
 use serde::{Deserialize, Serialize, Source};
 use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 use crate::flight::FlightRecorder;
 use crate::Registry;
@@ -68,16 +69,27 @@ impl TraceContext {
 }
 
 impl Serialize for TraceContext {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("trace_id", Json::str(self.trace_id_hex())),
-            ("span_id", Json::str(self.span_id_hex())),
-            (
-                "parent_span_id",
-                Json::str(format!("{:016x}", self.parent_span_id)),
-            ),
-        ])
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| put_context(o, self));
     }
+}
+
+/// Writes the context fields of a context or span object.
+fn put_context(o: &mut Object<'_>, ctx: &TraceContext) {
+    write_hex(o.key("trace_id"), format_args!("{:032x}", ctx.trace_id));
+    write_hex(o.key("span_id"), format_args!("{:016x}", ctx.span_id));
+    write_hex(
+        o.key("parent_span_id"),
+        format_args!("{:016x}", ctx.parent_span_id),
+    );
+}
+
+/// Appends hex digits as a JSON string (they need no escaping).
+fn write_hex(out: &mut String, digits: fmt::Arguments<'_>) {
+    out.push('"');
+    // `fmt::Write` on a `String` cannot fail.
+    let _ = out.write_fmt(digits);
+    out.push('"');
 }
 
 impl Deserialize for TraceContext {
@@ -152,27 +164,16 @@ impl TraceSpan {
 }
 
 impl Serialize for TraceSpan {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("trace_id", Json::str(format!("{:032x}", self.trace_id))),
-            ("span_id", Json::str(format!("{:016x}", self.span_id))),
-            (
-                "parent_span_id",
-                Json::str(format!("{:016x}", self.parent_span_id)),
-            ),
-            ("name", Json::str(self.name.clone())),
-            ("start_ns", self.start_ns.to_json()),
-            ("end_ns", self.end_ns.to_json()),
-            (
-                "annotations",
-                Json::Arr(
-                    self.annotations
-                        .iter()
-                        .map(|(k, v)| Json::Arr(vec![Json::str(k.clone()), Json::str(v.clone())]))
-                        .collect(),
-                ),
-            ),
-        ])
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            put_context(o, &self.context());
+            o.field("name", &self.name)
+                .field("start_ns", &self.start_ns)
+                .field("end_ns", &self.end_ns);
+            json::write_array(o.key("annotations"), &self.annotations, |(k, v), out| {
+                json::write_array(out, [k, v], String::serialize);
+            });
+        });
     }
 }
 

@@ -17,13 +17,13 @@
 
 use crate::{Atom, Cq, Ucq, Variable};
 use cqfit_data::{RelId, Schema};
-use serde::json::{JsonError, Value as Json};
+use serde::json::{self, JsonError};
 use serde::{Deserialize, Serialize, Source};
 use std::sync::Arc;
 
 impl Serialize for Variable {
-    fn to_json(&self) -> Json {
-        Json::Int(i64::from(self.0))
+    fn serialize(&self, out: &mut String) {
+        self.0.serialize(out);
     }
 }
 
@@ -34,11 +34,9 @@ impl Deserialize for Variable {
 }
 
 impl Serialize for Atom {
-    fn to_json(&self) -> Json {
-        let mut row = Vec::with_capacity(self.args.len() + 1);
-        row.push(Json::Int(i64::from(self.rel.0)));
-        row.extend(self.args.iter().map(|v| Json::Int(i64::from(v.0))));
-        Json::Arr(row)
+    fn serialize(&self, out: &mut String) {
+        let row = std::iter::once(&self.rel.0).chain(self.args.iter().map(|v| &v.0));
+        json::write_array(out, row, u32::serialize);
     }
 }
 
@@ -58,17 +56,15 @@ impl Deserialize for Atom {
 }
 
 impl Serialize for Cq {
-    fn to_json(&self) -> Json {
-        let vars: Vec<String> = self
-            .variables()
-            .map(|v| self.var_name(v).to_string())
-            .collect();
-        Json::obj([
-            ("schema", self.schema().as_ref().to_json()),
-            ("vars", vars.to_json()),
-            ("answer", self.answer_vars().to_vec().to_json()),
-            ("atoms", self.atoms().to_vec().to_json()),
-        ])
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("schema", self.schema().as_ref());
+            json::write_array(o.key("vars"), self.variables(), |v, out| {
+                json::write_str(out, self.var_name(v));
+            });
+            o.field("answer", self.answer_vars())
+                .field("atoms", self.atoms());
+        });
     }
 }
 
@@ -84,8 +80,10 @@ impl Deserialize for Cq {
 }
 
 impl Serialize for Ucq {
-    fn to_json(&self) -> Json {
-        Json::obj([("disjuncts", self.disjuncts().to_vec().to_json())])
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("disjuncts", self.disjuncts());
+        });
     }
 }
 

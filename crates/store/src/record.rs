@@ -28,7 +28,7 @@
 
 use cqfit_data::{Example, Schema};
 use cqfit_obs::crc32;
-use serde::json::{JsonError, Value as Json};
+use serde::json::{self, JsonError, Object};
 use serde::{Deserialize, Serialize, Source};
 
 /// A full copy of one workspace's logical state, as carried by a
@@ -110,13 +110,12 @@ fn parse_polarity(s: &str) -> Result<bool, JsonError> {
     }
 }
 
-fn examples_json(examples: &[(u64, Example)]) -> Json {
-    Json::Arr(
-        examples
-            .iter()
-            .map(|(id, e)| Json::obj([("id", id.to_json()), ("example", e.to_json())]))
-            .collect(),
-    )
+fn write_examples(out: &mut String, examples: &[(u64, Example)]) {
+    json::write_array(out, examples, |(id, e), out| {
+        json::write_object(out, |o| {
+            o.field("id", id).field("example", e);
+        });
+    });
 }
 
 fn examples_from_json<'de, S: Source<'de>>(mut v: S) -> Result<Vec<(u64, Example)>, JsonError> {
@@ -132,16 +131,20 @@ fn examples_from_json<'de, S: Source<'de>>(mut v: S) -> Result<Vec<(u64, Example
 }
 
 impl Serialize for WorkspaceSnapshot {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", self.schema.to_json()),
-            ("arity", Json::Int(self.arity as i64)),
-            ("next_id", self.next_id.to_json()),
-            ("revision", self.revision.to_json()),
-            ("positives", examples_json(&self.positives)),
-            ("negatives", examples_json(&self.negatives)),
-        ])
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| put_snapshot(o, self));
     }
+}
+
+/// Writes the fields of a snapshot object (a `snapshot` record carries
+/// them after its `op` tag).
+fn put_snapshot(o: &mut Object<'_>, s: &WorkspaceSnapshot) {
+    o.field("schema", &s.schema)
+        .field("arity", &s.arity)
+        .field("next_id", &s.next_id)
+        .field("revision", &s.revision);
+    write_examples(o.key("positives"), &s.positives);
+    write_examples(o.key("negatives"), &s.negatives);
 }
 
 impl Deserialize for WorkspaceSnapshot {
@@ -164,61 +167,49 @@ fn snapshot_fields<'de, S: Source<'de>>(v: &mut S) -> Result<WorkspaceSnapshot, 
 }
 
 impl Serialize for LogRecord {
-    fn to_json(&self) -> Json {
-        match self {
-            LogRecord::Create { schema, arity } => Json::obj([
-                ("op", Json::str("create")),
-                ("schema", schema.to_json()),
-                ("arity", Json::Int(*arity as i64)),
-            ]),
+    fn serialize(&self, out: &mut String) {
+        json::write_object(out, |o| match self {
+            LogRecord::Create { schema, arity } => {
+                o.field("op", "create")
+                    .field("schema", schema)
+                    .field("arity", arity);
+            }
             LogRecord::AddExample {
                 id,
                 positive,
                 example,
                 request_id,
             } => {
-                // The request id is emitted only when present, so logs
+                o.field("op", "add")
+                    .field("id", id)
+                    .field("polarity", polarity_str(*positive))
+                    .field("example", example);
+                // The request id is written only when present, so logs
                 // written before the field existed re-encode byte for
                 // byte.
-                let mut pairs = vec![
-                    ("op".to_string(), Json::str("add")),
-                    ("id".to_string(), id.to_json()),
-                    ("polarity".to_string(), Json::str(polarity_str(*positive))),
-                    ("example".to_string(), example.to_json()),
-                ];
                 if let Some(rid) = request_id {
-                    pairs.push(("request_id".to_string(), rid.to_json()));
+                    o.field("request_id", rid);
                 }
-                Json::Obj(pairs)
             }
             LogRecord::RemoveExample {
                 id,
                 positive,
                 request_id,
             } => {
-                let mut pairs = vec![
-                    ("op".to_string(), Json::str("remove")),
-                    ("id".to_string(), id.to_json()),
-                    ("polarity".to_string(), Json::str(polarity_str(*positive))),
-                ];
+                o.field("op", "remove")
+                    .field("id", id)
+                    .field("polarity", polarity_str(*positive));
                 if let Some(rid) = request_id {
-                    pairs.push(("request_id".to_string(), rid.to_json()));
+                    o.field("request_id", rid);
                 }
-                Json::Obj(pairs)
             }
             LogRecord::Snapshot(s) => {
-                // One source of truth for the snapshot shape: prepend the
-                // op tag to WorkspaceSnapshot's own serialization (the
-                // Deserialize side reads the same fields with
-                // `snapshot_fields`).
-                let mut pairs = vec![("op".to_string(), Json::str("snapshot"))];
-                match s.to_json() {
-                    Json::Obj(fields) => pairs.extend(fields),
-                    other => unreachable!("snapshot serializes as an object, got {other:?}"),
-                }
-                Json::Obj(pairs)
+                // The snapshot's own fields after the op tag, read back
+                // by `snapshot_fields`.
+                o.field("op", "snapshot");
+                put_snapshot(o, s);
             }
-        }
+        });
     }
 }
 
@@ -253,17 +244,25 @@ impl Deserialize for LogRecord {
 const CRC_KEY: &str = "{\"crc\":";
 const REC_KEY: &str = ",\"rec\":";
 
+/// Room for the longest frame head: ten digits of checksum.
+const HEAD_ROOM: usize = CRC_KEY.len() + 10 + REC_KEY.len();
+
 /// Encodes one record as a checksummed JSONL line (including the trailing
 /// newline).
+///
+/// The body is written once, straight into the line behind room for the
+/// frame head, and checksummed in place; the head then replaces that
+/// room.
 pub fn encode_record(record: &LogRecord) -> String {
-    let body = serde::to_string(record);
-    let crc = crc32(body.as_bytes());
-    // At most ten digits of checksum, then the closing `}` and newline.
-    let mut line = String::with_capacity(CRC_KEY.len() + 10 + REC_KEY.len() + body.len() + 2);
-    line.push_str(CRC_KEY);
-    Json::Int(i64::from(crc)).write_to(&mut line);
-    line.push_str(REC_KEY);
-    line.push_str(&body);
+    let mut line = String::with_capacity(HEAD_ROOM + 512);
+    line.extend(std::iter::repeat_n(' ', HEAD_ROOM));
+    record.serialize(&mut line);
+    let crc = crc32(&line.as_bytes()[HEAD_ROOM..]);
+    let mut head = String::with_capacity(HEAD_ROOM);
+    head.push_str(CRC_KEY);
+    json::write_u64(&mut head, u64::from(crc));
+    head.push_str(REC_KEY);
+    line.replace_range(..HEAD_ROOM, &head);
     line.push_str("}\n");
     line
 }
