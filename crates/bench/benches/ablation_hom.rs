@@ -1,8 +1,13 @@
 //! Ablation A-1: the effect of arc-consistency propagation in the
-//! homomorphism search (the workhorse of every algorithm in the library).
+//! homomorphism search (the workhorse of every algorithm in the library),
+//! and the cost of `core_of` on the products a query-by-example session
+//! minimizes.
 
-use cqfit_gen::{directed_cycle, prime_cycles_family, symmetric_clique};
-use cqfit_hom::{find_homomorphism_with, HomConfig, HomSearchStats};
+use cqfit_data::{Example, Schema};
+use cqfit_gen::{
+    directed_cycle, prime_cycles_family, random_labeled_examples, symmetric_clique, RandomConfig,
+};
+use cqfit_hom::{core_of, find_homomorphism_with, product_of, HomConfig, HomSearchStats};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -57,5 +62,56 @@ fn bench_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ablation);
+/// Π of `positives` random unary-pointed digraph examples (5 values,
+/// density 0.3), one per seed: the products `Fit{Cq,Minimized}` cores in a
+/// query-by-example session.
+fn qbe_products(positives: usize, seeds: std::ops::Range<u64>) -> Vec<Example> {
+    let schema = Schema::digraph();
+    seeds
+        .map(|seed| {
+            let examples = random_labeled_examples(
+                &schema,
+                &RandomConfig {
+                    num_values: 5,
+                    density: 0.3,
+                    arity: 1,
+                    num_positive: positives,
+                    num_negative: 0,
+                    seed,
+                },
+            );
+            product_of(&schema, 1, examples.positives()).unwrap()
+        })
+        .collect()
+}
+
+fn bench_core(c: &mut Criterion) {
+    let mut group = c.benchmark_group("core/qbe_products");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300));
+    // One iteration cores every product of the set.
+    for (name, products) in [
+        ("2_positives_x64", qbe_products(2, 0..64)),
+        ("3_positives_x16", qbe_products(3, 0..16)),
+    ] {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &products, |b, ps| {
+            b.iter(|| ps.iter().map(|p| core_of(p).size()).sum::<usize>())
+        });
+    }
+    // Thm. 3.40's C3 × C5 = C15 is already a core: nothing folds, so this
+    // row shows what the fold costs when it finds nothing.  64 calls per
+    // iteration keep one sample well above the timer's noise.
+    let fam = prime_cycles_family(3);
+    let c15 = product_of(fam.schema().unwrap(), 0, fam.positives()).unwrap();
+    group.bench_with_input(
+        BenchmarkId::from_parameter("thm3.40_c15_x64"),
+        &c15,
+        |b, e| b.iter(|| (0..64).map(|_| core_of(e).size()).sum::<usize>()),
+    );
+    group.finish();
+}
+
+criterion_group!(benches, bench_ablation, bench_core);
 criterion_main!(benches);

@@ -370,13 +370,6 @@ impl Instance {
         (out, map)
     }
 
-    /// The sub-instance obtained by removing a single value (and every fact
-    /// mentioning it).
-    pub fn without_value(&self, v: Value) -> (Instance, HashMap<Value, Value>) {
-        let keep: HashSet<Value> = self.values().filter(|&w| w != v).collect();
-        self.induced(&keep)
-    }
-
     /// Imports every value and every fact of `other` into `self`, returning
     /// the mapping from `other`'s values to the freshly created values.
     ///
@@ -554,16 +547,5 @@ mod tests {
         let mut i = Instance::new(digraph());
         i.add_fact_labels("R", &["a", "b"]).unwrap();
         assert_eq!(i.to_string(), "{R(a,b)}");
-    }
-
-    #[test]
-    fn without_value_drops_incident_facts() {
-        let mut i = Instance::new(digraph());
-        i.add_fact_labels("R", &["a", "b"]).unwrap();
-        i.add_fact_labels("R", &["b", "c"]).unwrap();
-        let b = i.value_by_label("b").unwrap();
-        let (sub, _) = i.without_value(b);
-        assert_eq!(sub.num_facts(), 0);
-        assert_eq!(sub.num_values(), 2);
     }
 }

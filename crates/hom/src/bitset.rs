@@ -98,18 +98,7 @@ impl BitSet {
 
     /// Iterates over the elements in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+        set_bits(&self.words)
     }
 
     /// The single element of a singleton set.
@@ -120,6 +109,21 @@ impl BitSet {
             None
         }
     }
+}
+
+/// The indices of the set bits of a little-endian word array (bit `i` of
+/// the set lives at `words[i / 64] >> (i % 64)`), in increasing order.
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut bits = w;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                wi * 64 + b
+            })
+        })
+    })
 }
 
 #[cfg(test)]

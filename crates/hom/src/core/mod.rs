@@ -9,16 +9,24 @@
 //!
 //! Core computation reduces to *retraction checks*: does the example map
 //! homomorphically into itself with one value deactivated?  The engine here
-//! differs from the preserved greedy oracle ([`self::reference`]) in four
+//! differs from the preserved greedy oracle ([`self::reference`]) in five
 //! ways:
 //!
+//! * **Dominated-value fold before every sweep** — a value `u` whose alive
+//!   facts all reappear on another alive value `v` once `u` is replaced by
+//!   `v` retracts onto `v` (Hell and Nešetřil, "The core of a graph",
+//!   1992).  Such values are folded with word operations over per-relation
+//!   bitsets, with no search, after the isolated-value mask and after every
+//!   orbit fold; the expensive sweep then runs on the residue only.  On
+//!   query-by-example products most of the folding happens here.
 //! * **Deactivation mask instead of induced clones** — one `Vec<bool>` over
 //!   the original domain drives every check through the trail searcher's
 //!   masked mode (`SearchTweaks`); no induced sub-instance (labels, fact
-//!   table, fact index) is ever rebuilt until the final materialization.
-//!   Isolated non-distinguished values are masked out *up front*, so no
-//!   intermediate check ranges over dead values (the greedy oracle only
-//!   dropped them after its retraction loop).
+//!   table, fact index) is ever rebuilt until the final materialization,
+//!   which goes through one dense old→new value map.  Isolated
+//!   non-distinguished values are masked out *up front*, so no intermediate
+//!   check ranges over dead values (the greedy oracle only dropped them
+//!   after its retraction loop).
 //! * **Branch-first retraction search** — for a retraction avoiding `v` the
 //!   identity is almost a homomorphism: only `v` needs a new image.  The
 //!   masked search therefore branches on `v`'s variable first and skips the
@@ -42,13 +50,148 @@
 
 pub mod reference;
 
+use crate::bitset::set_bits;
 use crate::search::{
     enumerate_homomorphisms_tweaked, find_homomorphism, find_homomorphism_tweaked, SearchTweaks,
     TweakedEnumeration,
 };
 use crate::Homomorphism;
-use cqfit_data::{Example, Value};
+use cqfit_data::{Example, Instance, Value};
 use std::collections::HashSet;
+
+/// Per-relation bitsets for the dominated-value fold, built once per
+/// [`core_of`] call from the full fact table, `wpv` words per value set:
+/// the members of each unary relation, and for each binary relation the
+/// successors (`out`) and predecessors (`inc`) of every value and the set
+/// of values with a loop — the word layout of the search's `unary_masks`
+/// and `bin_{out,inc}_masks`.  Dead values in these sets never matter:
+/// every candidate set they narrow starts as the alive mask.
+struct Dominance {
+    wpv: usize,
+    unary: Vec<Option<Vec<u64>>>,
+    out: Vec<Option<Vec<u64>>>,
+    inc: Vec<Option<Vec<u64>>>,
+    loops: Vec<Option<Vec<u64>>>,
+}
+
+impl Dominance {
+    fn new(inst: &Instance) -> Self {
+        let n = inst.num_values();
+        let wpv = n.div_ceil(64);
+        let rels = inst.schema().len();
+        let mut d = Dominance {
+            wpv,
+            unary: vec![None; rels],
+            out: vec![None; rels],
+            inc: vec![None; rels],
+            loops: vec![None; rels],
+        };
+        for f in inst.facts() {
+            let ri = f.rel.index();
+            match *f.args.as_slice() {
+                [a] => set_bit(row(&mut d.unary[ri], wpv), a.index()),
+                [a, b] => {
+                    let (a, b) = (a.index(), b.index());
+                    set_bit(&mut row(&mut d.out[ri], n * wpv)[a * wpv..], b);
+                    set_bit(&mut row(&mut d.inc[ri], n * wpv)[b * wpv..], a);
+                    if a == b {
+                        set_bit(row(&mut d.loops[ri], wpv), a);
+                    }
+                }
+                _ => {}
+            }
+        }
+        d
+    }
+
+    /// Folds dominated values until none is left.  A value `u` that is
+    /// alive and not distinguished is *dominated* by another alive `v` when
+    /// `v` carries every alive fact of `u` with `u` replaced by `v` (a loop
+    /// `R(u,u)` needs `R(v,v)`); the map `u ↦ v`, identity elsewhere, is
+    /// then a retraction of the alive sub-instance onto all of it but `u`
+    /// (Hell and Nešetřil), so `u` is deactivated.  No value becomes
+    /// isolated by such a fold: each fact of `u` reappears on `v`.
+    ///
+    /// Unary and binary facts narrow the candidate dominators with word
+    /// operations; facts of arity ≥ 3 are checked per candidate on the
+    /// substituted tuple.  Candidates are taken in index order, so the fold
+    /// is deterministic.
+    fn fold(&self, inst: &Instance, is_distinguished: &[bool], alive: &mut [bool]) {
+        let wpv = self.wpv;
+        let mut alive_words = vec![0u64; wpv];
+        for (i, _) in alive.iter().enumerate().filter(|(_, &a)| a) {
+            set_bit(&mut alive_words, i);
+        }
+        let mut cand = vec![0u64; wpv];
+        let mut wide = Vec::new();
+        let mut args = Vec::new();
+        let mut folded = true;
+        while folded {
+            folded = false;
+            for u in 0..alive.len() {
+                if !alive[u] || is_distinguished[u] {
+                    continue;
+                }
+                cand.copy_from_slice(&alive_words);
+                clear_bit(&mut cand, u);
+                wide.clear();
+                for &fid in inst.facts_containing(Value(u as u32)) {
+                    let f = inst.fact(fid);
+                    if !f.args.iter().all(|a| alive[a.index()]) {
+                        continue;
+                    }
+                    let ri = f.rel.index();
+                    let (mask, at) = match *f.args.as_slice() {
+                        [_] => (&self.unary[ri], 0),
+                        [a, b] if a == b => (&self.loops[ri], 0),
+                        [a, b] if a.index() == u => (&self.inc[ri], b.index() * wpv),
+                        [a, _] => (&self.out[ri], a.index() * wpv),
+                        _ => {
+                            wide.push(fid);
+                            continue;
+                        }
+                    };
+                    let mask = mask.as_ref().expect("built from the same facts");
+                    for (c, m) in cand.iter_mut().zip(&mask[at..at + wpv]) {
+                        *c &= m;
+                    }
+                }
+                let dominator = set_bits(&cand).find(|&v| {
+                    wide.iter().all(|&fid| {
+                        let f = inst.fact(fid);
+                        args.clear();
+                        args.extend(f.args.iter().map(|&a| {
+                            if a.index() == u {
+                                Value(v as u32)
+                            } else {
+                                a
+                            }
+                        }));
+                        inst.contains_fact(f.rel, &args)
+                    })
+                });
+                if dominator.is_some() {
+                    alive[u] = false;
+                    clear_bit(&mut alive_words, u);
+                    folded = true;
+                }
+            }
+        }
+    }
+}
+
+/// The mask row `masks`, allocated (`len` zero words) on first use.
+fn row(masks: &mut Option<Vec<u64>>, len: usize) -> &mut [u64] {
+    masks.get_or_insert_with(|| vec![0; len])
+}
+
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+fn clear_bit(words: &mut [u64], i: usize) {
+    words[i / 64] &= !(1 << (i % 64));
+}
 
 /// Outcome of one endomorphism sweep over the alive sub-instance.
 enum Sweep {
@@ -132,9 +275,11 @@ fn first_retraction(e: &Example, alive: &[bool], candidates: &[Value]) -> Option
 ///
 /// One deactivation mask over the original domain is maintained throughout:
 /// isolated non-distinguished values are deactivated immediately, each round
-/// searches the alive candidates for a retraction, and a found witness
-/// deactivates the *entire* complement of its image (orbit folding).  The
-/// induced sub-instance is materialized exactly once, at the end.
+/// first folds every dominated value and then searches the alive candidates
+/// for a retraction, and a found witness deactivates the *entire* complement
+/// of its image (orbit folding).  The round that finds no witness certifies
+/// the alive sub-instance a core.  The induced sub-instance is materialized
+/// exactly once, at the end.
 ///
 /// The greedy one-value-at-a-time oracle this engine replaces is preserved
 /// as [`reference::core_of`]; the two agree up to isomorphism.
@@ -152,7 +297,11 @@ pub fn core_of(e: &Example) -> Example {
         .values()
         .map(|v| inst.is_active(v) || is_distinguished[v.index()])
         .collect();
+    let dominance = Dominance::new(inst);
     loop {
+        // Cheap folds first: every dominated value goes before the sweep,
+        // which then runs on the residue (or certifies it a core).
+        dominance.fold(inst, &is_distinguished, &mut alive);
         let candidates: Vec<Value> = inst
             .values()
             .filter(|v| alive[v.index()] && !is_distinguished[v.index()])
@@ -192,9 +341,25 @@ pub fn core_of(e: &Example) -> Example {
             break; // defensive: never loop forever
         }
     }
-    let keep: HashSet<Value> = inst.values().filter(|v| alive[v.index()]).collect();
-    let (sub, map) = inst.induced(&keep);
-    let dist: Vec<Value> = e.distinguished().iter().map(|d| map[d]).collect();
+    // Materialize the alive sub-instance once, through a dense old→new map.
+    let mut sub = Instance::new(inst.schema().clone());
+    let mut new_of = vec![Value(u32::MAX); n];
+    for v in inst.values().filter(|v| alive[v.index()]) {
+        new_of[v.index()] = sub.add_value(inst.label(v));
+    }
+    let mut args = Vec::new();
+    for f in inst.facts() {
+        if f.args.iter().all(|a| alive[a.index()]) {
+            args.clear();
+            args.extend(f.args.iter().map(|a| new_of[a.index()]));
+            sub.add_fact(f.rel, &args).expect("valid fact");
+        }
+    }
+    let dist: Vec<Value> = e
+        .distinguished()
+        .iter()
+        .map(|d| new_of[d.index()])
+        .collect();
     Example::new(sub, dist)
 }
 
@@ -226,7 +391,8 @@ pub fn hom_equivalent(e1: &Example, e2: &Example) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqfit_data::{Instance, Schema};
+    use cqfit_data::Schema;
+    use std::sync::Arc;
 
     fn boolean(facts: &[(&str, &str)]) -> Example {
         let mut i = Instance::new(Schema::digraph());
@@ -365,6 +531,178 @@ mod tests {
         );
         assert_eq!(core.size(), unpadded_core.size());
         assert!(hom_equivalent(&core, &unpadded_core));
+    }
+
+    /// The alive mask after the dominated-value fold alone, starting from
+    /// the mask `core_of` starts from.
+    fn fold_only(e: &Example) -> Vec<bool> {
+        let inst = e.instance();
+        let mut is_distinguished = vec![false; inst.num_values()];
+        for &d in e.distinguished() {
+            is_distinguished[d.index()] = true;
+        }
+        let mut alive: Vec<bool> = inst
+            .values()
+            .map(|v| inst.is_active(v) || is_distinguished[v.index()])
+            .collect();
+        Dominance::new(inst).fold(inst, &is_distinguished, &mut alive);
+        alive
+    }
+
+    fn alive_labels(e: &Example, alive: &[bool]) -> Vec<String> {
+        let inst = e.instance();
+        inst.values()
+            .filter(|v| alive[v.index()])
+            .map(|v| inst.label(v).to_string())
+            .collect()
+    }
+
+    #[test]
+    fn dominated_leaf_folds() {
+        // `b` and `c` are twins under `a`; the first one folds onto the
+        // other, and nothing else is dominated.
+        let e = boolean(&[("a", "b"), ("a", "c"), ("c", "d")]);
+        assert_eq!(alive_labels(&e, &fold_only(&e)), ["a", "c", "d"]);
+    }
+
+    #[test]
+    fn a_loop_folds_only_onto_a_loop() {
+        // `u` carries a loop; `w` repeats `R(a,u)` as `R(a,w)` but has no
+        // loop, so `u` stays and `w` folds onto `u` instead.
+        let no_loop = {
+            let mut i = Instance::new(Schema::digraph());
+            for (x, y) in [("a", "u"), ("u", "u"), ("a", "w")] {
+                i.add_fact_labels("R", &[x, y]).unwrap();
+            }
+            let a = i.value_by_label("a").unwrap();
+            Example::new(i, vec![a])
+        };
+        assert_eq!(alive_labels(&no_loop, &fold_only(&no_loop)), ["a", "u"]);
+        // With `R(w,w)` the loop has an image, and `u` folds onto `w`.
+        let (mut i, dist) = no_loop.into_parts();
+        i.add_fact_labels("R", &["w", "w"]).unwrap();
+        let looped = Example::new(i, dist);
+        assert_eq!(alive_labels(&looped, &fold_only(&looped)), ["a", "w"]);
+    }
+
+    #[test]
+    fn distinguished_values_never_fold() {
+        // Unpointed, `b` (first in index order) folds onto its twin `c`.
+        let e = boolean(&[("a", "b"), ("a", "c")]);
+        assert_eq!(alive_labels(&e, &fold_only(&e)), ["a", "c"]);
+        // Pointed at `b`, `b` stays and `c` folds onto it instead.
+        let (i, _) = e.into_parts();
+        let b = i.value_by_label("b").unwrap();
+        let pointed = Example::new(i, vec![b]);
+        assert_eq!(alive_labels(&pointed, &fold_only(&pointed)), ["a", "b"]);
+        // Pointed at both, neither folds.
+        let (i, _) = pointed.into_parts();
+        let (b, c) = (
+            i.value_by_label("b").unwrap(),
+            i.value_by_label("c").unwrap(),
+        );
+        let both = Example::new(i, vec![b, c]);
+        assert_eq!(alive_labels(&both, &fold_only(&both)), ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn a_unary_fact_blocks_a_fold_onto_a_value_without_it() {
+        let mut i = Instance::new(Schema::binary_schema(["P", "Q"], ["R"]));
+        i.add_fact_labels("R", &["a", "b"]).unwrap();
+        i.add_fact_labels("R", &["a", "c"]).unwrap();
+        i.add_fact_labels("P", &["b"]).unwrap();
+        // `b` cannot fold onto `c` (no `P(c)`); `c` folds onto `b`.
+        let e = Example::boolean(i.clone());
+        assert_eq!(alive_labels(&e, &fold_only(&e)), ["a", "b"]);
+        // With `Q(c)` as well, neither twin dominates the other.
+        i.add_fact_labels("Q", &["c"]).unwrap();
+        let e = Example::boolean(i);
+        assert_eq!(alive_labels(&e, &fold_only(&e)), ["a", "b", "c"]);
+    }
+
+    /// Asserts that `core_of` and the greedy oracle agree on value and fact
+    /// counts and give homomorphically equivalent cores.
+    fn agrees_with_oracle(e: &Example, what: &str) {
+        let fast = core_of(e);
+        let slow = reference::core_of(e);
+        assert_eq!(
+            fast.instance().num_values(),
+            slow.instance().num_values(),
+            "{what}: value counts diverge on {}",
+            e.instance()
+        );
+        assert_eq!(fast.size(), slow.size(), "{what}: fact counts diverge");
+        assert!(hom_equivalent(&fast, &slow), "{what}: cores not equivalent");
+        assert!(is_core(&fast), "{what}: result is not a core");
+    }
+
+    #[test]
+    fn ternary_instances_agree_with_oracle() {
+        // Pseudo-random ternary + unary instances over 6 values (a fixed
+        // LCG, so the rows are the same on every run).
+        let schema = Arc::new(Schema::new([("T", 3), ("U", 1)]).unwrap());
+        let (t, u) = (schema.rel("T").unwrap(), schema.rel("U").unwrap());
+        let mut folding_rows = 0;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % m) as u32
+        };
+        for row in 0..40 {
+            let mut i = Instance::new(schema.clone());
+            i.add_values("v", 6);
+            for _ in 0..2 + next(5) {
+                let args = [Value(next(6)), Value(next(6)), Value(next(6))];
+                i.add_fact(t, &args).unwrap();
+            }
+            for _ in 0..next(3) {
+                i.add_fact(u, &[Value(next(6))]).unwrap();
+            }
+            let dist = if row % 2 == 0 { vec![] } else { vec![Value(0)] };
+            let e = Example::new(i, dist);
+            let active = e.instance().active_domain_size();
+            if fold_only(&e).iter().filter(|&&a| a).count() < active {
+                folding_rows += 1;
+            }
+            agrees_with_oracle(&e, &format!("ternary row {row}"));
+        }
+        assert!(folding_rows > 0, "no ternary row exercised the fold");
+    }
+
+    #[test]
+    fn more_than_64_values_agree_with_oracle() {
+        // 66 twin leaves into a hub that points into a directed triangle,
+        // and 4 more leaves (indices ≥ 64) hanging off the triangle: the
+        // twins and the late leaves fold across word boundaries, and the
+        // sweep maps what is left onto the triangle.
+        let mut i = Instance::new(Schema::digraph());
+        let leaves = i.add_values("l", 66);
+        let hub = i.add_value("hub");
+        let tri = i.add_values("c", 3);
+        let r = i.schema().rel("R").unwrap();
+        for &l in &leaves {
+            i.add_fact(r, &[l, hub]).unwrap();
+        }
+        i.add_fact(r, &[hub, tri[0]]).unwrap();
+        for k in 0..3 {
+            i.add_fact(r, &[tri[k], tri[(k + 1) % 3]]).unwrap();
+        }
+        for l in i.add_values("m", 4) {
+            i.add_fact(r, &[tri[1], l]).unwrap();
+        }
+        assert!(i.num_values() > 64);
+        let e = Example::boolean(i.clone());
+        assert_eq!(
+            alive_labels(&e, &fold_only(&e)),
+            ["l65", "hub", "c0", "c1", "c2"]
+        );
+        agrees_with_oracle(&e, "boolean");
+        assert_eq!(core_of(&e).instance().num_values(), 3);
+        // Pointed at a late leaf, that leaf survives.
+        let m3 = i.value_by_label("m3").unwrap();
+        agrees_with_oracle(&Example::new(i, vec![m3]), "pointed");
     }
 
     /// Orbit folding: the witness image shrinks a long foldable structure in

@@ -9,8 +9,8 @@
 //! which checks that the mask-based engine agrees with it up to
 //! isomorphism (equal value/fact counts, homomorphic equivalence both
 //! ways, identical distinguished handling) over hundreds of fixed-seed
-//! instances.  The speedups it once anchored are recorded in
-//! `BENCH_pr3.json` (see EXPERIMENTS.md).
+//! instances.  The engine's own cost is measured by
+//! `cargo bench --bench ablation_hom` (group `core/qbe_products`).
 //!
 //! It is **not** part of the supported API surface.
 

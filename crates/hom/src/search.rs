@@ -434,21 +434,7 @@ impl CandStore {
 
     /// Iterates the candidate values of `var` in increasing order.
     fn values(&self, var: usize) -> impl Iterator<Item = usize> + '_ {
-        self.words[var * self.wpv..(var + 1) * self.wpv]
-            .iter()
-            .enumerate()
-            .flat_map(|(wi, &w)| {
-                let mut bits = w;
-                std::iter::from_fn(move || {
-                    if bits == 0 {
-                        None
-                    } else {
-                        let b = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        Some(wi * 64 + b)
-                    }
-                })
-            })
+        crate::bitset::set_bits(&self.words[var * self.wpv..(var + 1) * self.wpv])
     }
 
     /// The single candidate of a decided variable.

@@ -1,12 +1,12 @@
 //! Differential test suite for the mask-based core engine.
 //!
-//! The core rewrite (`cqfit_hom::core`: deactivation mask, endomorphism
-//! sweep, orbit folding, batched retraction checks) must agree with the
-//! preserved greedy oracle (`cqfit_hom::core::reference`) *up to
+//! The core engine (`cqfit_hom::core`: deactivation mask, dominated-value
+//! fold, endomorphism sweep, orbit folding, retraction checks) must agree
+//! with the preserved greedy oracle (`cqfit_hom::core::reference`) *up to
 //! isomorphism*: cores are unique only up to isomorphism, and the two
 //! engines may retract onto different (isomorphic) sub-instances.  For every
-//! fixed-seed random instance and every paper-family instance this harness
-//! asserts:
+//! fixed-seed random instance, every paper-family instance and every
+//! query-by-example product this harness asserts:
 //!
 //! * equal value counts and equal fact counts of the two cores,
 //! * homomorphic equivalence of the two cores, and of each core with the
@@ -19,8 +19,8 @@
 
 use cqfit_data::{Example, Schema};
 use cqfit_gen::{
-    bitstring_family, directed_cycle, prime_cycles_family, random_example, symmetric_clique,
-    RandomConfig,
+    bitstring_family, directed_cycle, prime_cycles_family, random_example, random_labeled_examples,
+    symmetric_clique, RandomConfig,
 };
 use cqfit_hom::core::reference;
 use cqfit_hom::{core_of, hom_equivalent, is_core, product_of};
@@ -205,18 +205,44 @@ fn differential_family_instances_agree_with_reference_engine() {
         15,
         "padding and pendant path must fold away, leaving C15"
     );
-    assert!(total >= 9);
+    // The products `qbe_fit`-style sessions minimize: Π of 2 and 3 random
+    // unary-pointed digraph positives (5 values, density 0.3).  Most of
+    // their values fold by domination, so these rows pin the
+    // dominated-value fold against the oracle on the shape the served
+    // engine cores.
+    for positives in [2usize, 3] {
+        for seed in 0..QBE_PRODUCT_SEEDS {
+            let examples = random_labeled_examples(
+                &digraph,
+                &RandomConfig {
+                    num_values: 5,
+                    density: 0.3,
+                    arity: 1,
+                    num_positive: positives,
+                    num_negative: 0,
+                    seed,
+                },
+            );
+            let product = product_of(&digraph, 1, examples.positives()).unwrap();
+            let label = format!("{positives}-positive product, seed {seed}");
+            total += check_example(&product, &label);
+        }
+    }
+    assert!(total >= 9 + 2 * QBE_PRODUCT_SEEDS as usize);
 }
+
+/// Seeds per positive count in the `qbe_fit`-shaped product rows.
+const QBE_PRODUCT_SEEDS: u64 = 12;
 
 /// The combined suite must perform at least 300 new-vs-reference checks;
 /// this meta-test keeps the count honest if the sweeps above are retuned.
 #[test]
 fn differential_suite_reaches_300_checks() {
     // 3 schemas × 2 arities × 3 configs × 18 instances = 324 random checks,
-    // plus 9 family checks — the constants below must match the sweeps
-    // above.
+    // plus 9 + 2 × 12 family checks — the constants below must match the
+    // sweeps above.
     let random_checks = 3 * 2 * 3 * 18;
-    let family_checks = 2 + 3 + 2 + 1 + 1;
+    let family_checks = 2 + 3 + 2 + 1 + 1 + 2 * QBE_PRODUCT_SEEDS as usize;
     assert!(
         random_checks + family_checks >= 300,
         "retune the sweeps: only {} checks",
