@@ -1,13 +1,15 @@
 //! Ablation A-1: the effect of arc-consistency propagation in the
 //! homomorphism search (the workhorse of every algorithm in the library),
-//! and the cost of `core_of` on the products a query-by-example session
-//! minimizes.
+//! the cost of `core_of` on the products a query-by-example session
+//! minimizes, and the cost of a plain fit on freshly decoded examples (the
+//! first question after a restart).
 
 use cqfit_data::{Example, Schema};
 use cqfit_gen::{
     directed_cycle, prime_cycles_family, random_labeled_examples, symmetric_clique, RandomConfig,
 };
-use cqfit_hom::{core_of, find_homomorphism_with, product_of, HomConfig, HomSearchStats};
+use cqfit_hom::{core_of, find_homomorphism_with, product_of, HomCache, HomConfig, HomSearchStats};
+use cqfit_query::Cq;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -113,5 +115,73 @@ fn bench_core(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ablation, bench_core);
+/// 64 workspaces shaped like a restarted server's (2 positives and 3
+/// negatives, unary-pointed digraph examples over 5 values, density 0.3),
+/// each example written to JSON and decoded back, so it starts with no
+/// fact index and no memoized hash, as after a write-ahead-log replay.
+fn cold_workspaces() -> Vec<(Vec<Example>, Vec<Example>)> {
+    let schema = Schema::digraph();
+    let decoded = |e: &Example| serde::json::decode::<Example>(&serde::to_string(e)).unwrap();
+    (0..64)
+        .map(|seed| {
+            let col = random_labeled_examples(
+                &schema,
+                &RandomConfig {
+                    num_values: 5,
+                    density: 0.3,
+                    arity: 1,
+                    num_positive: 2,
+                    num_negative: 3,
+                    seed,
+                },
+            );
+            (
+                col.positives().iter().map(decoded).collect(),
+                col.negatives().iter().map(decoded).collect(),
+            )
+        })
+        .collect()
+}
+
+fn bench_cold_fit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fit/cold_shapes");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300));
+    let schema = Schema::digraph();
+    let workspaces = cold_workspaces();
+    // One iteration answers `Fit{Cq,Plain}` on all 64 workspaces with a
+    // fresh cache: Π E⁺, one cached hom batch into the negatives, and the
+    // canonical CQ.  Each workspace is cloned first — a clone of an
+    // unindexed, unhashed example stays cold — so the clones are part of
+    // the measured cost.
+    group.bench_with_input(
+        BenchmarkId::from_parameter("plain_fit_x64"),
+        &workspaces,
+        |b, wss| {
+            b.iter(|| {
+                let cache = HomCache::new();
+                wss.iter()
+                    .map(|ws| {
+                        let (positives, negatives) = ws.clone();
+                        let product = product_of(&schema, 1, &positives).unwrap();
+                        if !product.is_data_example() {
+                            return 0;
+                        }
+                        let pairs: Vec<(&Example, &Example)> =
+                            negatives.iter().map(|n| (&product, n)).collect();
+                        if cache.any_hom_exists(&pairs) {
+                            return 0;
+                        }
+                        Cq::from_example(&product).unwrap().atoms().len()
+                    })
+                    .sum::<usize>()
+            })
+        },
+    );
+    group.finish();
+}
+
+criterion_group!(benches, bench_ablation, bench_core, bench_cold_fit);
 criterion_main!(benches);

@@ -9,10 +9,13 @@
 //!
 //! Properties:
 //!
-//! * **Insertion-order independent** — fact encodings are sorted before
-//!   being absorbed, so the same fact set built in any order hashes equal
-//!   (facts are deduplicated by [`crate::Instance::add_fact`], values are
-//!   part of the encoding).
+//! * **Insertion-order independent** — an instance hashes the *set* of its
+//!   facts: each fact is hashed on its own, and the per-fact hashes are
+//!   added up (wrapping, per 64-bit lane).  Addition is commutative, so the
+//!   same fact set built in any order hashes equal, with no sort and no
+//!   buffer; facts are distinct (every constructor drops repeats), so the
+//!   sum is a set hash, not a multiset one.  Values are part of each fact's
+//!   encoding.
 //! * **Label independent** — display labels are *excluded*: instances that
 //!   differ only in labels hash equal, because labels never influence
 //!   homomorphism answers.  Callers that cache label-carrying artifacts
@@ -20,14 +23,15 @@
 //!   in [`CanonicalHasher::absorb_str`] of the labels themselves.
 //! * **Process independent** — no randomized hasher state; equal inputs
 //!   hash equal across runs and across machines, so captures and
-//!   differential tests are reproducible.
+//!   differential tests are reproducible.  No hash value is persisted.
 //!
-//! The hash is 128 bits built from two independent 64-bit mixers (FNV-1a
-//! and a rotate-xor-multiply stream), which keeps accidental collisions
-//! out of reach for cache-sized key populations; it is *not* designed to
+//! The hash is 128 bits built from two independent 64-bit lanes, each a
+//! rotate-xor-multiply stream over whole 64-bit words with its own
+//! constants and its own finalizer.  That keeps accidental collisions out
+//! of reach for cache-sized key populations; it is *not* designed to
 //! resist adversarial collision construction.
 
-use crate::{Example, Instance, Schema};
+use crate::{Example, Fact, Instance, Schema};
 
 /// A 128-bit canonical structural hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,50 +41,45 @@ pub struct CanonicalHash(pub u128);
 /// derive compound keys (e.g. hash-of-hashes, or structure plus labels).
 #[derive(Debug, Clone)]
 pub struct CanonicalHasher {
-    fnv: u64,
-    mix: u64,
+    hi: u64,
+    lo: u64,
 }
 
 impl CanonicalHasher {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    const MIX_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-    const MIX_MULT: u64 = 0xff51_afd7_ed55_8ccd;
+    const HI_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const LO_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+    const HI_MULT: u64 = 0xff51_afd7_ed55_8ccd;
+    const LO_MULT: u64 = 0xc4ce_b9fe_1a85_ec53;
 
     /// A fresh hasher.
     pub fn new() -> Self {
         CanonicalHasher {
-            fnv: Self::FNV_OFFSET,
-            mix: Self::MIX_SEED,
+            hi: Self::HI_SEED,
+            lo: Self::LO_SEED,
         }
     }
 
-    /// Absorbs one byte into both mixers.
-    fn absorb_byte(&mut self, b: u8) {
-        self.fnv = (self.fnv ^ u64::from(b)).wrapping_mul(Self::FNV_PRIME);
-        self.mix = (self.mix.rotate_left(13) ^ u64::from(b)).wrapping_mul(Self::MIX_MULT);
-    }
-
-    /// Absorbs a `u64` (little-endian bytes).
+    /// Absorbs a `u64` into both lanes.  Each step is a bijection of the
+    /// lane state, so two streams differing in a single word never meet.
     pub fn absorb_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.absorb_byte(b);
-        }
+        self.hi = (self.hi ^ v).wrapping_mul(Self::HI_MULT).rotate_left(31);
+        self.lo = (self.lo ^ v).wrapping_mul(Self::LO_MULT).rotate_left(27);
     }
 
-    /// Absorbs a `u32`.
+    /// Absorbs a `u32` (as one word).
     pub fn absorb_u32(&mut self, v: u32) {
-        for b in v.to_le_bytes() {
-            self.absorb_byte(b);
-        }
+        self.absorb_u64(u64::from(v));
     }
 
-    /// Absorbs a length-prefixed string (prefixing makes concatenations
+    /// Absorbs a length-prefixed string, eight bytes per word (the prefix
+    /// makes concatenations and the zero padding of the last word
     /// unambiguous).
     pub fn absorb_str(&mut self, s: &str) {
         self.absorb_u64(s.len() as u64);
-        for b in s.bytes() {
-            self.absorb_byte(b);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.absorb_u64(u64::from_le_bytes(word));
         }
     }
 
@@ -90,19 +89,35 @@ impl CanonicalHasher {
         self.absorb_u64((h.0 >> 64) as u64);
     }
 
-    /// Finishes the hash.
+    /// Finishes the hash: one avalanche round per lane (the murmur3 and
+    /// splitmix64 finalizers), so short inputs still spread over all bits.
     pub fn finish(&self) -> CanonicalHash {
-        // A final avalanche round decorrelates the two lanes from short
-        // inputs before they are concatenated.
-        let mut a = self.fnv ^ self.mix.rotate_left(32);
+        let mut a = self.hi;
         a ^= a >> 33;
-        a = a.wrapping_mul(Self::MIX_MULT);
-        a ^= a >> 29;
-        let mut b = self.mix;
-        b ^= b >> 31;
-        b = b.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        a = a.wrapping_mul(Self::HI_MULT);
+        a ^= a >> 33;
+        a = a.wrapping_mul(Self::LO_MULT);
+        a ^= a >> 33;
+        let mut b = self.lo;
+        b ^= b >> 30;
+        b = b.wrapping_mul(0xbf58_476d_1ce4_e5b9);
         b ^= b >> 27;
+        b = b.wrapping_mul(0x94d0_49bb_1331_11eb);
+        b ^= b >> 31;
         CanonicalHash((u128::from(a) << 64) | u128::from(b))
+    }
+
+    /// The hash of one fact: its relation and its arguments, two
+    /// arguments per word (the arity is fixed by the relation, so the
+    /// packing is unambiguous).
+    fn of_fact(f: &Fact) -> CanonicalHash {
+        let mut h = CanonicalHasher::new();
+        h.absorb_u32(f.rel.0);
+        for pair in f.args.chunks(2) {
+            let second = pair.get(1).map_or(0, |a| u64::from(a.0));
+            h.absorb_u64(u64::from(pair[0].0) | second << 32);
+        }
+        h.finish()
     }
 }
 
@@ -129,30 +144,27 @@ impl Schema {
 
 impl Instance {
     /// Canonical structural hash of the instance: schema, number of
-    /// declared values, and the sorted fact set.  Labels are excluded; see
-    /// the module documentation for the exact invariance guarantees.
+    /// declared values, and the fact set (the wrapping sum, per lane, of
+    /// the per-fact hashes).  Labels are excluded; see the module
+    /// documentation for the exact invariance guarantees.
     ///
     /// The hash is memoized on the instance (structural mutations reset
     /// the memo), so repeated cache lookups on the same — potentially
-    /// large — instance sort and hash its fact set only once.
+    /// large — instance hash its fact set only once.
     pub fn canonical_hash(&self) -> CanonicalHash {
         *self.structural_hash_cell().get_or_init(|| {
+            let (mut hi, mut lo) = (0u64, 0u64);
+            for f in self.facts() {
+                let fact = CanonicalHasher::of_fact(f).0;
+                hi = hi.wrapping_add((fact >> 64) as u64);
+                lo = lo.wrapping_add(fact as u64);
+            }
             let mut h = CanonicalHasher::new();
             h.absorb_hash(self.schema().canonical_hash());
             h.absorb_u64(self.num_values() as u64);
-            let mut encodings: Vec<(u32, &[crate::Value])> = self
-                .facts()
-                .iter()
-                .map(|f| (f.rel.0, f.args.as_slice()))
-                .collect();
-            encodings.sort_unstable();
-            h.absorb_u64(encodings.len() as u64);
-            for (rel, args) in encodings {
-                h.absorb_u32(rel);
-                for a in args {
-                    h.absorb_u32(a.0);
-                }
-            }
+            h.absorb_u64(self.num_facts() as u64);
+            h.absorb_u64(hi);
+            h.absorb_u64(lo);
             h.finish()
         })
     }

@@ -9,6 +9,25 @@
 //! position, value)` posting lists below make that enumeration proportional
 //! to the answer size.
 //!
+//! Building the index costs one allocation per posting list, so the
+//! fitting path avoids it where a plain walk of the fact table does the
+//! job.  Activeness is kept on the instance, `Instance::from_facts` (the
+//! JSON decoder, direct products, core materialization) builds none, and
+//! the search narrows unary and binary constraints with bitsets built from
+//! the fact table.  The paths that still read it:
+//!
+//! * `Instance::add_fact`'s duplicate probe (exact lookup);
+//! * `Instance::contains_fact` — the search's forward checking when arc
+//!   consistency is off, homomorphism verification, the core fold's facts
+//!   of arity ≥ 3, the simulation and duality checks;
+//! * `Instance::facts_with_rel_pos_value` — the search's revision of
+//!   constraints of arity ≥ 3, and the simulation check;
+//! * `Instance::facts_containing` — the core fold (`fold_dominated` in
+//!   `cqfit_hom`), Gaifman neighbours and components, and the tree and
+//!   frontier constructions;
+//! * `Instance::facts_with_rel` — the duality checks and the reference
+//!   search engine.
+//!
 //! Everything is stored in dense, offset-addressed vectors — no hashing on
 //! any lookup path — because the engine performs millions of lookups per
 //! search: exact-fact membership resolves through the *shortest* posting
@@ -25,7 +44,8 @@ const NO_FACTS: &[FactId] = &[];
 /// Access paths:
 /// * exact-fact lookup (`lookup`) for membership and deduplication,
 /// * per-relation posting lists (`with_rel`),
-/// * per-value posting lists (`containing_value`),
+/// * per-value posting lists (`containing_value`; activeness is kept on
+///   the instance instead),
 /// * per-`(relation, position, value)` posting lists (`with_rel_pos_value`),
 ///   the workhorse of index-accelerated homomorphism propagation.
 #[derive(Debug, Clone)]

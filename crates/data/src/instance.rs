@@ -52,13 +52,19 @@ pub struct Instance {
     schema: Arc<Schema>,
     labels: Vec<String>,
     facts: Vec<Fact>,
+    /// Per value: does it occur in some fact?  Kept up to date by every
+    /// constructor and by [`Instance::add_fact`], so activeness (and with
+    /// it the data-example test) never needs the fact index.
+    active: Vec<bool>,
     /// Secondary access paths into `facts` (exact lookup, per-relation,
     /// per-value and per-`(relation, position, value)` posting lists),
     /// built from `facts` on first use and from then on maintained
     /// incrementally by [`Instance::add_fact`].  Building it lazily keeps
     /// decoding cheap: a write-ahead-log replay decodes many examples that
-    /// a later record removes before anything reads them.
-    index: OnceLock<FactIndex>,
+    /// a later record removes before anything reads them.  Boxed because
+    /// most instances on the fitting path never build it, so it should
+    /// not widen every instance (and every example moved or cloned).
+    index: OnceLock<Box<FactIndex>>,
     /// Memoized structural hash ([`Instance::canonical_hash`]); reset by
     /// every structural mutation (labels are excluded from the hash, so
     /// [`Instance::set_label`] does not reset it).  Cached because cache
@@ -74,44 +80,46 @@ impl Instance {
             schema,
             labels: Vec::new(),
             facts: Vec::new(),
+            active: Vec::new(),
             index: OnceLock::new(),
             structural_hash: OnceLock::new(),
         }
     }
 
-    /// Creates an instance over `schema` whose values carry `labels`, in
-    /// order, and no facts: `new` plus one `add_value` per label.
-    pub(crate) fn with_labels(schema: Arc<Schema>, labels: Vec<String>) -> Self {
+    /// Builds an instance over `schema` whose values carry `labels`, in
+    /// order, and whose facts are `facts`: `new`, one `add_value` per label
+    /// and one `add_fact` per fact, in bulk.  Each fact is checked as
+    /// `add_fact` checks it, and a repeated fact is kept at its first
+    /// occurrence only, so the fact order is the one `add_fact` would
+    /// give.  Finding repeats costs one hash per fact; no fact index is
+    /// built (it is left to first use).
+    ///
+    /// # Errors
+    /// Fails on the first fact whose argument count does not match its
+    /// relation's arity or whose argument is not one of the `labels`.
+    pub fn from_facts(
+        schema: Arc<Schema>,
+        labels: Vec<String>,
+        mut facts: Vec<Fact>,
+    ) -> Result<Self> {
         let mut inst = Instance::new(schema);
         inst.labels = labels;
-        inst
-    }
-
-    /// Gives a fact-less instance the facts `facts`, each already passed
-    /// by [`Instance::check_fact`], dropping every repeat after its first
-    /// occurrence: the facts `add_fact` would have kept, in the same
-    /// order.  The index is left to first use.
-    pub(crate) fn with_checked_facts(mut self, mut facts: Vec<Fact>) -> Self {
-        debug_assert!(self.facts.is_empty(), "facts already present");
-        if facts.len() > 1 {
-            // Sorting positions by fact, ties by position, puts each
-            // fact's first occurrence ahead of its repeats.
-            let mut order: Vec<usize> = (0..facts.len()).collect();
-            order.sort_unstable_by_key(|&i| (facts[i].rel, &facts[i].args, i));
-            let mut repeat = vec![false; facts.len()];
-            for pair in order.windows(2) {
-                repeat[pair[1]] = facts[pair[0]] == facts[pair[1]];
+        inst.active = vec![false; inst.labels.len()];
+        for f in &facts {
+            inst.check_fact(f.rel, &f.args)?;
+            for a in &f.args {
+                inst.active[a.index()] = true;
             }
+        }
+        if let Some(repeat) = repeated_facts(&facts) {
             let mut at = 0;
             facts.retain(|_| {
                 at += 1;
                 !repeat[at - 1]
             });
         }
-        self.facts = facts;
-        self.index = OnceLock::new();
-        self.structural_hash = OnceLock::new();
-        self
+        inst.facts = facts;
+        Ok(inst)
     }
 
     /// The memo cell of the structural hash (filled by
@@ -123,8 +131,13 @@ impl Instance {
     /// The fact index, built on first use.
     #[inline]
     fn index(&self) -> &FactIndex {
-        self.index
-            .get_or_init(|| FactIndex::build(&self.schema, self.labels.len(), &self.facts))
+        self.index.get_or_init(|| {
+            Box::new(FactIndex::build(
+                &self.schema,
+                self.labels.len(),
+                &self.facts,
+            ))
+        })
     }
 
     /// The fact index, built on first use, for an update.
@@ -142,6 +155,7 @@ impl Instance {
     pub fn add_value(&mut self, label: impl Into<String>) -> Value {
         let v = Value(self.labels.len() as u32);
         self.labels.push(label.into());
+        self.active.push(false);
         if let Some(index) = self.index.get_mut() {
             index.add_value();
         }
@@ -205,6 +219,9 @@ impl Instance {
             return Ok(id);
         }
         let id = FactId(self.facts.len() as u32);
+        for a in args {
+            self.active[a.index()] = true;
+        }
         let fact = Fact {
             rel,
             args: args.to_vec(),
@@ -217,7 +234,7 @@ impl Instance {
 
     /// Checks the argument count against the arity of `rel` and that
     /// every argument belongs to this instance.
-    pub(crate) fn check_fact(&self, rel: RelId, args: &[Value]) -> Result<()> {
+    fn check_fact(&self, rel: RelId, args: &[Value]) -> Result<()> {
         let arity = self.schema.arity(rel);
         if args.len() != arity {
             return Err(DataError::ArityMismatch {
@@ -294,7 +311,7 @@ impl Instance {
 
     /// True if `v` occurs in at least one fact.
     pub fn is_active(&self, v: Value) -> bool {
-        !self.index().containing_value(v).is_empty()
+        self.active[v.index()]
     }
 
     /// The active domain: all values occurring in at least one fact, in index
@@ -408,6 +425,39 @@ impl Instance {
     }
 }
 
+/// The positions of `facts` that repeat an earlier fact, or `None` when
+/// all are distinct.  One open-addressing probe sequence per fact over a
+/// table of positions, keyed by a multiply-rotate hash of the fact.
+fn repeated_facts(facts: &[Fact]) -> Option<Vec<bool>> {
+    if facts.len() < 2 {
+        return None;
+    }
+    let mask = (2 * facts.len()).next_power_of_two() - 1;
+    let mut slots = vec![u32::MAX; mask + 1];
+    let mut repeat: Option<Vec<bool>> = None;
+    for (i, f) in facts.iter().enumerate() {
+        let mut h = u64::from(f.rel.0).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for a in &f.args {
+            h = (h.rotate_left(26) ^ u64::from(a.0)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+        let mut at = (h >> 32) as usize & mask;
+        loop {
+            match slots[at] {
+                u32::MAX => {
+                    slots[at] = i as u32;
+                    break;
+                }
+                j if facts[j as usize] == *f => {
+                    repeat.get_or_insert_with(|| vec![false; facts.len()])[i] = true;
+                    break;
+                }
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+    repeat
+}
+
 impl fmt::Display for Instance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
@@ -452,6 +502,76 @@ mod tests {
         let one: Instance = serde::json::decode(&text).unwrap();
         assert_eq!(one.num_facts(), 1);
         assert_eq!(one.index().positional_entries(), N, "one entry per slot");
+    }
+
+    /// The activeness the instance keeps equals a scan of its facts.
+    fn assert_activeness_is_kept(inst: &Instance, what: &str) {
+        for v in inst.values() {
+            let scanned = inst.facts().iter().any(|f| f.args.contains(&v));
+            assert_eq!(inst.is_active(v), scanned, "{what}: value {}", v.0);
+        }
+        let scanned: Vec<Value> = inst
+            .values()
+            .filter(|v| inst.facts().iter().any(|f| f.args.contains(v)))
+            .collect();
+        assert_eq!(inst.active_domain(), scanned, "{what}");
+    }
+
+    #[test]
+    fn kept_activeness_matches_a_scan() {
+        let schema = Arc::new(Schema::new([("U", 1), ("R", 2), ("T", 3)]).unwrap());
+        let (u, r, t) = (
+            schema.rel("U").unwrap(),
+            schema.rel("R").unwrap(),
+            schema.rel("T").unwrap(),
+        );
+        let mut i = Instance::new(schema.clone());
+        assert_activeness_is_kept(&i, "empty");
+        let vs = i.add_values("v", 6);
+        assert_activeness_is_kept(&i, "add_value");
+        i.add_fact(r, &[vs[0], vs[0]]).unwrap();
+        i.add_fact(u, &[vs[2]]).unwrap();
+        i.add_fact(r, &[vs[0], vs[0]]).unwrap();
+        assert!(i.add_fact(t, &[vs[4], vs[5]]).is_err());
+        assert_activeness_is_kept(&i, "add_fact");
+        i.add_value("late");
+        i.add_fact(t, &[vs[3], vs[0], vs[3]]).unwrap();
+        assert_activeness_is_kept(&i, "add_value after add_fact");
+
+        let labels: Vec<String> = (0..5).map(|k| format!("w{k}")).collect();
+        let fact = |rel, args: &[u32]| Fact {
+            rel,
+            args: args.iter().copied().map(Value).collect(),
+        };
+        let facts = vec![
+            fact(r, &[1, 3]),
+            fact(u, &[1]),
+            fact(r, &[1, 3]),
+            fact(t, &[3, 3, 3]),
+        ];
+        let bulk = Instance::from_facts(schema.clone(), labels.clone(), facts).unwrap();
+        assert_eq!(bulk.num_facts(), 3, "the repeat is dropped");
+        assert_activeness_is_kept(&bulk, "from_facts");
+        let bad = vec![fact(r, &[1, 3]), fact(r, &[1])];
+        assert!(matches!(
+            Instance::from_facts(schema.clone(), labels.clone(), bad),
+            Err(DataError::ArityMismatch { .. })
+        ));
+        let outside = vec![fact(u, &[7])];
+        assert!(matches!(
+            Instance::from_facts(schema, labels, outside),
+            Err(DataError::UnknownValue(7))
+        ));
+
+        let line = r#"{"schema":{"relations":[{"name":"U","arity":1},{"name":"R","arity":2}]},"labels":["a","b","c","d"],"facts":[[1,2,0],[0,2],[1,2,0],[0,2]]}"#;
+        for decoded in [
+            serde::json::decode::<Instance>(line).unwrap(),
+            serde::from_str::<Instance>(line).unwrap(),
+        ] {
+            assert_eq!(decoded.num_facts(), 2, "repeats are dropped");
+            assert_activeness_is_kept(&decoded, "decoded");
+            assert!(!decoded.is_active(Value(1)) && !decoded.is_active(Value(3)));
+        }
     }
 
     #[test]

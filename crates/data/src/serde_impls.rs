@@ -93,7 +93,6 @@ impl Deserialize for Instance {
     fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
         let schema = Arc::new(Schema::deserialize(v.req("schema")?)?);
         let labels = Vec::<String>::deserialize(v.req("labels")?)?;
-        let inst = Instance::with_labels(schema, labels);
         let mut rows = v.req("facts")?;
         let mut facts = Vec::new();
         for mut fact in rows
@@ -107,18 +106,17 @@ impl Deserialize for Instance {
                 return Err(JsonError::semantic("empty fact array"));
             };
             let rel = crate::RelId(u32::deserialize(rel)?);
-            if rel.index() >= inst.schema().len() {
+            if rel.index() >= schema.len() {
                 return Err(JsonError::semantic(format!(
                     "fact references unknown relation id {}",
                     rel.0
                 )));
             }
             let args = row.map(Value::deserialize).collect::<Result<Vec<_>, _>>()?;
-            inst.check_fact(rel, &args)
-                .map_err(|e| JsonError::semantic(format!("invalid fact: {e}")))?;
             facts.push(Fact { rel, args });
         }
-        Ok(inst.with_checked_facts(facts))
+        Instance::from_facts(schema, labels, facts)
+            .map_err(|e| JsonError::semantic(format!("invalid fact: {e}")))
     }
 }
 

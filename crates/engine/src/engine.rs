@@ -690,15 +690,17 @@ impl Engine {
                     return Response::error(e.to_string());
                 }
                 let id = ws.state().next_id();
-                if let Some(store) = &self.store {
+                let example = if let Some(store) = &self.store {
                     // The wire request id rides in the record so recovery
                     // can reseed the exactly-once memo: a crash between
                     // this append and the client's ack must not let the
-                    // retry apply twice after restart.
+                    // retry apply twice after restart.  The example moves
+                    // into the record and back out after the append, so
+                    // an add clones it once (out of the request).
                     let record = LogRecord::AddExample {
                         id,
                         positive: matches!(polarity, Polarity::Positive),
-                        example: example.clone(),
+                        example,
                         request_id,
                     };
                     if let Err(e) = store.append_traced(
@@ -709,7 +711,13 @@ impl Engine {
                     ) {
                         return Response::error(format!("example not added: {e}"));
                     }
-                }
+                    let LogRecord::AddExample { example, .. } = record else {
+                        unreachable!("built as an add above")
+                    };
+                    example
+                } else {
+                    example
+                };
                 let added = match polarity {
                     Polarity::Positive => ws.state_mut().add_positive(example),
                     Polarity::Negative => ws.state_mut().add_negative(example),

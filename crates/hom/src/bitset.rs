@@ -1,5 +1,9 @@
 //! A small fixed-capacity bit set used for candidate sets during
-//! homomorphism search and arc consistency.
+//! homomorphism search and arc consistency, and the per-relation bitsets of
+//! an instance's unary and binary facts that the search and the core fold
+//! narrow candidate sets with.
+
+use cqfit_data::Instance;
 
 /// Fixed-capacity bit set over `0..capacity`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,6 +128,89 @@ pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
             })
         })
     })
+}
+
+/// Per-relation bitsets of an instance's unary and binary facts, `wpv`
+/// words per value set (bit `t` of a set lives at `words[t / 64] >>
+/// (t % 64)`): the members of each unary relation, and for each binary
+/// relation the successors (`out`) and predecessors (`inc`) of every
+/// value, value-major (value `t`'s row starts at word `t * wpv`), and the
+/// set of values with a loop.  Relations of other arities get none.
+pub(crate) struct RelMasks {
+    pub wpv: usize,
+    pub unary: Vec<Option<Vec<u64>>>,
+    pub out: Vec<Option<Vec<u64>>>,
+    pub inc: Vec<Option<Vec<u64>>>,
+    pub loops: Vec<Option<Vec<u64>>>,
+}
+
+impl RelMasks {
+    /// The bitsets of `inst`, built in one pass over its fact table.  With
+    /// `wanted`, exactly the wanted unary and binary relations get theirs
+    /// (all-zero when the relation has no fact) and the others are
+    /// skipped; without it, every relation with a fact gets them (and a
+    /// loop set once it has a loop).
+    pub fn build(inst: &Instance, wanted: Option<&[bool]>) -> Self {
+        let n = inst.num_values();
+        let wpv = n.div_ceil(64);
+        let schema = inst.schema();
+        let rels = schema.len();
+        let mut m = RelMasks {
+            wpv,
+            unary: vec![None; rels],
+            out: vec![None; rels],
+            inc: vec![None; rels],
+            loops: vec![None; rels],
+        };
+        if let Some(wanted) = wanted {
+            for rel in schema.rel_ids().filter(|r| wanted[r.index()]) {
+                let ri = rel.index();
+                match schema.arity(rel) {
+                    1 => m.unary[ri] = Some(vec![0; wpv]),
+                    2 => {
+                        m.out[ri] = Some(vec![0; n * wpv]);
+                        m.inc[ri] = Some(vec![0; n * wpv]);
+                        m.loops[ri] = Some(vec![0; wpv]);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        for f in inst.facts() {
+            let ri = f.rel.index();
+            if wanted.is_some_and(|w| !w[ri]) {
+                continue;
+            }
+            match *f.args.as_slice() {
+                [a] => set_bit(row(&mut m.unary[ri], wpv), a.index()),
+                [a, b] => {
+                    let (a, b) = (a.index(), b.index());
+                    set_bit(&mut row(&mut m.out[ri], n * wpv)[a * wpv..], b);
+                    set_bit(&mut row(&mut m.inc[ri], n * wpv)[b * wpv..], a);
+                    if a == b {
+                        set_bit(row(&mut m.loops[ri], wpv), a);
+                    }
+                }
+                _ => {}
+            }
+        }
+        m
+    }
+}
+
+/// The mask row `masks`, allocated (`len` zero words) on first use.
+fn row(masks: &mut Option<Vec<u64>>, len: usize) -> &mut [u64] {
+    masks.get_or_insert_with(|| vec![0; len])
+}
+
+/// Sets bit `i` of a little-endian word array.
+pub(crate) fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Clears bit `i` of a little-endian word array.
+pub(crate) fn clear_bit(words: &mut [u64], i: usize) {
+    words[i / 64] &= !(1 << (i % 64));
 }
 
 #[cfg(test)]

@@ -50,147 +50,102 @@
 
 pub mod reference;
 
-use crate::bitset::set_bits;
+use crate::bitset::{clear_bit, set_bit, set_bits, RelMasks};
 use crate::search::{
     enumerate_homomorphisms_tweaked, find_homomorphism, find_homomorphism_tweaked, SearchTweaks,
     TweakedEnumeration,
 };
 use crate::Homomorphism;
-use cqfit_data::{Example, Instance, Value};
+use cqfit_data::{Example, Fact, Instance, Value};
 use std::collections::HashSet;
 
-/// Per-relation bitsets for the dominated-value fold, built once per
-/// [`core_of`] call from the full fact table, `wpv` words per value set:
-/// the members of each unary relation, and for each binary relation the
-/// successors (`out`) and predecessors (`inc`) of every value and the set
-/// of values with a loop — the word layout of the search's `unary_masks`
-/// and `bin_{out,inc}_masks`.  Dead values in these sets never matter:
-/// every candidate set they narrow starts as the alive mask.
-struct Dominance {
-    wpv: usize,
-    unary: Vec<Option<Vec<u64>>>,
-    out: Vec<Option<Vec<u64>>>,
-    inc: Vec<Option<Vec<u64>>>,
-    loops: Vec<Option<Vec<u64>>>,
-}
-
-impl Dominance {
-    fn new(inst: &Instance) -> Self {
-        let n = inst.num_values();
-        let wpv = n.div_ceil(64);
-        let rels = inst.schema().len();
-        let mut d = Dominance {
-            wpv,
-            unary: vec![None; rels],
-            out: vec![None; rels],
-            inc: vec![None; rels],
-            loops: vec![None; rels],
-        };
-        for f in inst.facts() {
-            let ri = f.rel.index();
-            match *f.args.as_slice() {
-                [a] => set_bit(row(&mut d.unary[ri], wpv), a.index()),
-                [a, b] => {
-                    let (a, b) = (a.index(), b.index());
-                    set_bit(&mut row(&mut d.out[ri], n * wpv)[a * wpv..], b);
-                    set_bit(&mut row(&mut d.inc[ri], n * wpv)[b * wpv..], a);
-                    if a == b {
-                        set_bit(row(&mut d.loops[ri], wpv), a);
-                    }
-                }
-                _ => {}
-            }
-        }
-        d
+/// Folds dominated values until none is left.  A value `u` that is
+/// alive and not distinguished is *dominated* by another alive `v` when
+/// `v` carries every alive fact of `u` with `u` replaced by `v` (a loop
+/// `R(u,u)` needs `R(v,v)`); the map `u ↦ v`, identity elsewhere, is
+/// then a retraction of the alive sub-instance onto all of it but `u`
+/// (Hell and Nešetřil), so `u` is deactivated.  No value becomes
+/// isolated by such a fold: each fact of `u` reappears on `v`.
+///
+/// Unary and binary facts narrow the candidate dominators with word
+/// operations; facts of arity ≥ 3 are checked per candidate on the
+/// substituted tuple.  Candidates are taken in index order, so the fold
+/// is deterministic.  `masks` are the bitsets of the full fact table:
+/// dead values in them never matter, because every candidate set they
+/// narrow starts as the alive mask.
+fn fold_dominated(
+    masks: &RelMasks,
+    inst: &Instance,
+    is_distinguished: &[bool],
+    alive: &mut [bool],
+) {
+    let RelMasks {
+        wpv,
+        unary,
+        out,
+        inc,
+        loops,
+    } = masks;
+    let wpv = *wpv;
+    let mut alive_words = vec![0u64; wpv];
+    for (i, _) in alive.iter().enumerate().filter(|(_, &a)| a) {
+        set_bit(&mut alive_words, i);
     }
-
-    /// Folds dominated values until none is left.  A value `u` that is
-    /// alive and not distinguished is *dominated* by another alive `v` when
-    /// `v` carries every alive fact of `u` with `u` replaced by `v` (a loop
-    /// `R(u,u)` needs `R(v,v)`); the map `u ↦ v`, identity elsewhere, is
-    /// then a retraction of the alive sub-instance onto all of it but `u`
-    /// (Hell and Nešetřil), so `u` is deactivated.  No value becomes
-    /// isolated by such a fold: each fact of `u` reappears on `v`.
-    ///
-    /// Unary and binary facts narrow the candidate dominators with word
-    /// operations; facts of arity ≥ 3 are checked per candidate on the
-    /// substituted tuple.  Candidates are taken in index order, so the fold
-    /// is deterministic.
-    fn fold(&self, inst: &Instance, is_distinguished: &[bool], alive: &mut [bool]) {
-        let wpv = self.wpv;
-        let mut alive_words = vec![0u64; wpv];
-        for (i, _) in alive.iter().enumerate().filter(|(_, &a)| a) {
-            set_bit(&mut alive_words, i);
-        }
-        let mut cand = vec![0u64; wpv];
-        let mut wide = Vec::new();
-        let mut args = Vec::new();
-        let mut folded = true;
-        while folded {
-            folded = false;
-            for u in 0..alive.len() {
-                if !alive[u] || is_distinguished[u] {
+    let mut cand = vec![0u64; wpv];
+    let mut wide = Vec::new();
+    let mut args = Vec::new();
+    let mut folded = true;
+    while folded {
+        folded = false;
+        for u in 0..alive.len() {
+            if !alive[u] || is_distinguished[u] {
+                continue;
+            }
+            cand.copy_from_slice(&alive_words);
+            clear_bit(&mut cand, u);
+            wide.clear();
+            for &fid in inst.facts_containing(Value(u as u32)) {
+                let f = inst.fact(fid);
+                if !f.args.iter().all(|a| alive[a.index()]) {
                     continue;
                 }
-                cand.copy_from_slice(&alive_words);
-                clear_bit(&mut cand, u);
-                wide.clear();
-                for &fid in inst.facts_containing(Value(u as u32)) {
-                    let f = inst.fact(fid);
-                    if !f.args.iter().all(|a| alive[a.index()]) {
+                let ri = f.rel.index();
+                let (mask, at) = match *f.args.as_slice() {
+                    [_] => (&unary[ri], 0),
+                    [a, b] if a == b => (&loops[ri], 0),
+                    [a, b] if a.index() == u => (&inc[ri], b.index() * wpv),
+                    [a, _] => (&out[ri], a.index() * wpv),
+                    _ => {
+                        wide.push(fid);
                         continue;
                     }
-                    let ri = f.rel.index();
-                    let (mask, at) = match *f.args.as_slice() {
-                        [_] => (&self.unary[ri], 0),
-                        [a, b] if a == b => (&self.loops[ri], 0),
-                        [a, b] if a.index() == u => (&self.inc[ri], b.index() * wpv),
-                        [a, _] => (&self.out[ri], a.index() * wpv),
-                        _ => {
-                            wide.push(fid);
-                            continue;
+                };
+                let mask = mask.as_ref().expect("built from the same facts");
+                for (c, m) in cand.iter_mut().zip(&mask[at..at + wpv]) {
+                    *c &= m;
+                }
+            }
+            let dominator = set_bits(&cand).find(|&v| {
+                wide.iter().all(|&fid| {
+                    let f = inst.fact(fid);
+                    args.clear();
+                    args.extend(f.args.iter().map(|&a| {
+                        if a.index() == u {
+                            Value(v as u32)
+                        } else {
+                            a
                         }
-                    };
-                    let mask = mask.as_ref().expect("built from the same facts");
-                    for (c, m) in cand.iter_mut().zip(&mask[at..at + wpv]) {
-                        *c &= m;
-                    }
-                }
-                let dominator = set_bits(&cand).find(|&v| {
-                    wide.iter().all(|&fid| {
-                        let f = inst.fact(fid);
-                        args.clear();
-                        args.extend(f.args.iter().map(|&a| {
-                            if a.index() == u {
-                                Value(v as u32)
-                            } else {
-                                a
-                            }
-                        }));
-                        inst.contains_fact(f.rel, &args)
-                    })
-                });
-                if dominator.is_some() {
-                    alive[u] = false;
-                    clear_bit(&mut alive_words, u);
-                    folded = true;
-                }
+                    }));
+                    inst.contains_fact(f.rel, &args)
+                })
+            });
+            if dominator.is_some() {
+                alive[u] = false;
+                clear_bit(&mut alive_words, u);
+                folded = true;
             }
         }
     }
-}
-
-/// The mask row `masks`, allocated (`len` zero words) on first use.
-fn row(masks: &mut Option<Vec<u64>>, len: usize) -> &mut [u64] {
-    masks.get_or_insert_with(|| vec![0; len])
-}
-
-fn set_bit(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1 << (i % 64);
-}
-
-fn clear_bit(words: &mut [u64], i: usize) {
-    words[i / 64] &= !(1 << (i % 64));
 }
 
 /// Outcome of one endomorphism sweep over the alive sub-instance.
@@ -297,11 +252,11 @@ pub fn core_of(e: &Example) -> Example {
         .values()
         .map(|v| inst.is_active(v) || is_distinguished[v.index()])
         .collect();
-    let dominance = Dominance::new(inst);
+    let masks = RelMasks::build(inst, None);
     loop {
         // Cheap folds first: every dominated value goes before the sweep,
         // which then runs on the residue (or certifies it a core).
-        dominance.fold(inst, &is_distinguished, &mut alive);
+        fold_dominated(&masks, inst, &is_distinguished, &mut alive);
         let candidates: Vec<Value> = inst
             .values()
             .filter(|v| alive[v.index()] && !is_distinguished[v.index()])
@@ -342,19 +297,22 @@ pub fn core_of(e: &Example) -> Example {
         }
     }
     // Materialize the alive sub-instance once, through a dense old→new map.
-    let mut sub = Instance::new(inst.schema().clone());
     let mut new_of = vec![Value(u32::MAX); n];
+    let mut labels = Vec::new();
     for v in inst.values().filter(|v| alive[v.index()]) {
-        new_of[v.index()] = sub.add_value(inst.label(v));
+        new_of[v.index()] = Value(labels.len() as u32);
+        labels.push(inst.label(v).to_string());
     }
-    let mut args = Vec::new();
-    for f in inst.facts() {
-        if f.args.iter().all(|a| alive[a.index()]) {
-            args.clear();
-            args.extend(f.args.iter().map(|a| new_of[a.index()]));
-            sub.add_fact(f.rel, &args).expect("valid fact");
-        }
-    }
+    let facts = inst
+        .facts()
+        .iter()
+        .filter(|f| f.args.iter().all(|a| alive[a.index()]))
+        .map(|f| Fact {
+            rel: f.rel,
+            args: f.args.iter().map(|a| new_of[a.index()]).collect(),
+        })
+        .collect();
+    let sub = Instance::from_facts(inst.schema().clone(), labels, facts).expect("valid facts");
     let dist: Vec<Value> = e
         .distinguished()
         .iter()
@@ -545,7 +503,12 @@ mod tests {
             .values()
             .map(|v| inst.is_active(v) || is_distinguished[v.index()])
             .collect();
-        Dominance::new(inst).fold(inst, &is_distinguished, &mut alive);
+        fold_dominated(
+            &RelMasks::build(inst, None),
+            inst,
+            &is_distinguished,
+            &mut alive,
+        );
         alive
     }
 

@@ -3,7 +3,7 @@
 //! bounds, Proposition 2.2).
 
 use crate::{HomError, Result};
-use cqfit_data::{Example, Instance, Schema, Value};
+use cqfit_data::{Example, Fact, Instance, RelId, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -14,12 +14,16 @@ use std::sync::Arc;
 /// set of pointed instances; every example of the same schema and arity maps
 /// homomorphically into it.
 pub fn top_example(schema: &Arc<Schema>, arity: usize) -> Example {
-    let mut inst = Instance::new(schema.clone());
-    let v = inst.add_value("⊤");
-    for rel in schema.rel_ids() {
-        let args = vec![v; schema.arity(rel)];
-        inst.add_fact(rel, &args).expect("valid fact");
-    }
+    let v = Value(0);
+    let facts = schema
+        .rel_ids()
+        .map(|rel| Fact {
+            rel,
+            args: vec![v; schema.arity(rel)],
+        })
+        .collect();
+    let inst =
+        Instance::from_facts(schema.clone(), vec!["⊤".to_string()], facts).expect("valid facts");
     Example::new(inst, vec![v; arity])
 }
 
@@ -30,6 +34,14 @@ pub fn top_example(schema: &Arc<Schema>, arity: usize) -> Example {
 /// `R((c1,d1),…,(cn,dn))` whenever `R(c̄) ∈ I` and `R(d̄) ∈ J`; its
 /// distinguished tuple pairs the two distinguished tuples.  The result is a
 /// pointed instance but *not necessarily* a data example (Example 2.6).
+///
+/// The product is built in bulk: the operands' fact tables are joined
+/// relation by relation (each relation's facts in table order, `I`'s
+/// outer), a pair becomes a value — labeled `(c|d)` — at its first
+/// occurrence in that join, and the fact list goes to
+/// [`Instance::from_facts`] in one piece.  Product facts are distinct by
+/// construction, so no fact is probed against the ones before it, and
+/// neither operand's nor the result's fact index is built.
 ///
 /// # Errors
 /// Fails if the inputs have different schemas or arities.
@@ -45,35 +57,43 @@ pub fn direct_product(e1: &Example, e2: &Example) -> Result<Example> {
         });
     }
     let schema = i1.schema().clone();
-    let mut out = Instance::new(schema.clone());
+    let (rels1, rels2) = (ByRelation::of(i1), ByRelation::of(i2));
+    let size = schema
+        .rel_ids()
+        .map(|rel| rels1.facts(rel).len() * rels2.facts(rel).len())
+        .sum();
+    let mut facts = Vec::with_capacity(size);
+    let mut labels = Vec::new();
     // The fact join below resolves every argument pair through the pair→
     // value map, so it wants an O(1) dense array — but a dense matrix is
     // n1·n2 entries, which for two huge operands would dwarf the actual
     // product.  Use the dense matrix up to a fixed footprint (16 MiB) and
     // fall back to a hash map beyond it.
     let mut pair_value = PairMap::new(i1.num_values(), i2.num_values());
-    let mut value_of = |out: &mut Instance, a: Value, b: Value| -> Value {
+    let mut value_of = |labels: &mut Vec<String>, a: Value, b: Value| -> Value {
         pair_value.get_or_insert(a, b, || {
-            out.add_value(format!("({}|{})", i1.label(a), i2.label(b)))
+            let (l1, l2) = (i1.label(a), i2.label(b));
+            let mut label = String::with_capacity(l1.len() + l2.len() + 3);
+            label.push('(');
+            label.push_str(l1);
+            label.push('|');
+            label.push_str(l2);
+            label.push(')');
+            labels.push(label);
+            Value(labels.len() as u32 - 1)
         })
     };
     for rel in schema.rel_ids() {
-        // The per-relation posting lists of the fact index drive the join;
-        // a relation empty on either side contributes no product facts.
-        let (facts1, facts2) = (i1.facts_with_rel(rel), i2.facts_with_rel(rel));
-        if facts1.is_empty() || facts2.is_empty() {
-            continue;
-        }
-        for &f1 in facts1 {
-            let a1 = &i1.fact(f1).args;
-            for &f2 in facts2 {
-                let a2 = &i2.fact(f2).args;
-                let args: Vec<Value> = a1
+        for &f1 in rels1.facts(rel) {
+            let a1 = &i1.facts()[f1 as usize].args;
+            for &f2 in rels2.facts(rel) {
+                let a2 = &i2.facts()[f2 as usize].args;
+                let args = a1
                     .iter()
-                    .zip(a2.iter())
-                    .map(|(&a, &b)| value_of(&mut out, a, b))
+                    .zip(a2)
+                    .map(|(&a, &b)| value_of(&mut labels, a, b))
                     .collect();
-                out.add_fact(rel, &args)?;
+                facts.push(Fact { rel, args });
             }
         }
     }
@@ -81,9 +101,47 @@ pub fn direct_product(e1: &Example, e2: &Example) -> Result<Example> {
         .distinguished()
         .iter()
         .zip(e2.distinguished().iter())
-        .map(|(&a, &b)| value_of(&mut out, a, b))
+        .map(|(&a, &b)| value_of(&mut labels, a, b))
         .collect();
+    let out = Instance::from_facts(schema, labels, facts)?;
     Ok(Example::new(out, dist))
+}
+
+/// The fact positions of an instance grouped by relation, each group in
+/// table order: one counting sort, no fact index.
+struct ByRelation {
+    /// Start of each relation's group in `order`, plus a sentinel.
+    start: Vec<u32>,
+    /// Fact positions, relation by relation.
+    order: Vec<u32>,
+}
+
+impl ByRelation {
+    fn of(inst: &Instance) -> Self {
+        // Count per relation, turn the counts into group ends, then fill
+        // each group back to front; the ends become the starts.
+        let mut start = vec![0u32; inst.schema().len() + 1];
+        for f in inst.facts() {
+            start[f.rel.index()] += 1;
+        }
+        let mut end = 0;
+        for s in &mut start {
+            end += *s;
+            *s = end;
+        }
+        let mut order = vec![0u32; inst.num_facts()];
+        for (i, f) in inst.facts().iter().enumerate().rev() {
+            let slot = &mut start[f.rel.index()];
+            *slot -= 1;
+            order[*slot as usize] = i as u32;
+        }
+        ByRelation { start, order }
+    }
+
+    /// The positions of the facts of `rel`.
+    fn facts(&self, rel: RelId) -> &[u32] {
+        &self.order[self.start[rel.index()] as usize..self.start[rel.index() + 1] as usize]
+    }
 }
 
 /// Pair→value map of a direct product: dense matrix while the operand
@@ -203,6 +261,113 @@ mod tests {
         }
         let d = dist.iter().map(|l| i.value_by_label(l).unwrap()).collect();
         Example::new(i, d)
+    }
+
+    /// The reference product: one `add_value` per new pair and one
+    /// `add_fact` (with its dedup probe) per product fact, driven by the
+    /// operands' per-relation posting lists.  The bulk [`direct_product`]
+    /// must equal it value for value and fact for fact.
+    fn add_fact_join(e1: &Example, e2: &Example) -> Example {
+        let (i1, i2) = (e1.instance(), e2.instance());
+        let mut out = Instance::new(i1.schema().clone());
+        let mut pairs: HashMap<(Value, Value), Value> = HashMap::new();
+        let mut value_of = |out: &mut Instance, a: Value, b: Value| {
+            *pairs
+                .entry((a, b))
+                .or_insert_with(|| out.add_value(format!("({}|{})", i1.label(a), i2.label(b))))
+        };
+        for rel in i1.schema().rel_ids() {
+            for &f1 in i1.facts_with_rel(rel) {
+                for &f2 in i2.facts_with_rel(rel) {
+                    let args: Vec<Value> = (i1.fact(f1).args.iter())
+                        .zip(&i2.fact(f2).args)
+                        .map(|(&a, &b)| value_of(&mut out, a, b))
+                        .collect();
+                    out.add_fact(rel, &args).unwrap();
+                }
+            }
+        }
+        let dist = (e1.distinguished().iter())
+            .zip(e2.distinguished())
+            .map(|(&a, &b)| value_of(&mut out, a, b))
+            .collect();
+        Example::new(out, dist)
+    }
+
+    fn assert_same_product(bulk: &Example, reference: &Example, what: &str) {
+        let (b, r) = (bulk.instance(), reference.instance());
+        assert_eq!(b.num_values(), r.num_values(), "{what}: value count");
+        for v in r.values() {
+            assert_eq!(b.label(v), r.label(v), "{what}: label of {v:?}");
+            assert_eq!(b.is_active(v), r.is_active(v), "{what}: activeness");
+        }
+        assert_eq!(b.facts(), r.facts(), "{what}: fact order");
+        assert_eq!(bulk.distinguished(), reference.distinguished(), "{what}");
+        assert_eq!(bulk.canonical_hash(), reference.canonical_hash(), "{what}");
+    }
+
+    /// Seeded pseudo-random examples over `schema`: 1–5 values, a few
+    /// facts per relation (repeats allowed, so the inputs dedup), and a
+    /// distinguished tuple of `arity` values that may repeat and may lie
+    /// outside the active domain.
+    fn seeded_examples(
+        schema: &Arc<Schema>,
+        arity: usize,
+        seed: u64,
+        count: usize,
+    ) -> Vec<Example> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |m: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % m as u64) as usize
+        };
+        (0..count)
+            .map(|_| {
+                let mut i = Instance::new(schema.clone());
+                let n = 1 + next(5);
+                i.add_values("v", n);
+                for rel in schema.rel_ids() {
+                    for _ in 0..next(5) {
+                        let args: Vec<Value> = (0..schema.arity(rel))
+                            .map(|_| Value(next(n) as u32))
+                            .collect();
+                        i.add_fact(rel, &args).unwrap();
+                    }
+                }
+                let dist = (0..arity).map(|_| Value(next(n) as u32)).collect();
+                Example::new(i, dist)
+            })
+            .collect()
+    }
+
+    /// The bulk product equals the `add_fact` join value for value, label
+    /// for label and fact for fact, and so hashes equal, on binary and
+    /// mixed-arity schemas, at arities 0–2 (repeated distinguished values
+    /// included), and along `product_of` folds.
+    #[test]
+    fn bulk_product_matches_the_add_fact_join() {
+        let mixed = Arc::new(Schema::new([("U", 1), ("R", 2), ("T", 3)]).unwrap());
+        let mut repeated_dist = 0;
+        for schema in [Schema::digraph(), mixed] {
+            for arity in 0..=2 {
+                for seed in 0..40 {
+                    let es = seeded_examples(&schema, arity, seed, 3);
+                    repeated_dist += usize::from(!es[0].has_unp());
+                    let what = format!("{:?} arity {arity} seed {seed}", schema.relations());
+                    let bulk = direct_product(&es[0], &es[1]).unwrap();
+                    assert_same_product(&bulk, &add_fact_join(&es[0], &es[1]), &what);
+                    let mut reference = add_fact_join(&top_example(&schema, arity), &es[0]);
+                    for e in &es[1..] {
+                        reference = add_fact_join(&reference, e);
+                    }
+                    let folded = product_of(&schema, arity, &es).unwrap();
+                    assert_same_product(&folded, &reference, &format!("{what} (fold)"));
+                }
+            }
+        }
+        assert!(repeated_dist > 0, "no row repeated a distinguished value");
     }
 
     /// Example 2.1 / Figure 2 of the paper: the disjoint union of two binary

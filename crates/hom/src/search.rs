@@ -20,11 +20,14 @@
 //!   backtracking restores them, so no per-node clone of the candidate
 //!   vector is ever made (the pre-rewrite engine in [`crate::reference`]
 //!   cloned `Vec<BitSet>` at every node).
-//! * Propagation enumerates target facts through the instance's
-//!   per-`(relation, position, value)` fact index
+//! * Propagation narrows unary and binary constraints with word operations
+//!   over per-relation bitsets of the target, built in one pass over its
+//!   fact table; only constraints of arity ≥ 3 enumerate target facts,
+//!   through the instance's per-`(relation, position, value)` fact index
 //!   ([`cqfit_data::Instance::facts_with_rel_pos_value`]), pivoting on the
 //!   constraint argument with the fewest candidates, instead of re-scanning
-//!   every fact of the relation.
+//!   every fact of the relation.  With arc consistency on (the default),
+//!   a search over unary and binary relations never builds the index.
 //! * Branching is an explicit-stack iterative loop, so deep searches on
 //!   large instances cannot overflow the call stack.
 //!
@@ -33,6 +36,7 @@
 //! reference engine, so the two agree on existence, witnesses and
 //! enumeration order (asserted by `tests/differential_hom.rs`).
 
+use crate::bitset::RelMasks;
 use crate::{HomError, Result};
 use cqfit_data::{Example, Instance, Value};
 use std::collections::BTreeMap;
@@ -564,15 +568,12 @@ struct Problem<'a> {
     cov_start: Vec<u32>,
     /// Largest constraint arity (sizes the support scratch).
     max_arity: usize,
-    /// For each unary relation used by a constraint: the bitmask of target
-    /// values carrying that relation.
-    unary_masks: Vec<Option<Vec<u64>>>,
-    /// For each binary relation used by a constraint: per target value `t`,
-    /// the bitmask of its `R`-successors (`out`) and `R`-predecessors
-    /// (`inc`), value-major.  Support computation for binary constraints is
-    /// then pure word arithmetic instead of per-fact scans.
-    bin_out_masks: Vec<Option<Vec<u64>>>,
-    bin_inc_masks: Vec<Option<Vec<u64>>>,
+    /// The target's per-relation bitsets for the unary and binary
+    /// relations the constraints use: membership masks, per-value
+    /// successor (`out`) and predecessor (`inc`) masks, and loop sets.
+    /// Support computation for unary and binary constraints is then pure
+    /// word arithmetic instead of per-fact scans.
+    masks: RelMasks,
     /// Mask-aware activeness of every source value; `None` on the unmasked
     /// hot path, where plain [`Instance::is_active`] is used instead (no
     /// extra allocation for ordinary searches).
@@ -678,7 +679,7 @@ impl<'a> Problem<'a> {
         };
         let mut con_rel = Vec::with_capacity(facts.len());
         let mut con_args = Vec::with_capacity(facts.len());
-        let mut arg_arena: Vec<u32> = Vec::new();
+        let mut arg_arena: Vec<u32> = Vec::with_capacity(facts.iter().map(|f| f.args.len()).sum());
         let mut cov_count = vec![0u32; vars.len()];
         let mut max_arity = 0;
         for f in facts {
@@ -717,41 +718,15 @@ impl<'a> Problem<'a> {
                 cursor[av as usize] += 1;
             }
         }
-        // Target bitmasks for the relations the constraints actually use:
-        // one adjacency-mask pair per binary relation, one membership mask
-        // per unary relation.
-        let n_dst = dst.num_values();
-        let wpv = n_dst.div_ceil(64);
-        let schema = src.schema();
-        let mut unary_masks = vec![None; schema.len()];
-        let mut bin_out_masks: Vec<Option<Vec<u64>>> = vec![None; schema.len()];
-        let mut bin_inc_masks: Vec<Option<Vec<u64>>> = vec![None; schema.len()];
+        // Target bitsets for the unary and binary relations the
+        // constraints actually use, in one pass over the target's facts.
+        let mut wanted = vec![false; src.schema().len()];
         for (ci, &rel) in con_rel.iter().enumerate() {
-            let ri = rel.index();
-            match con_args[ci].1 {
-                1 if unary_masks[ri].is_none() => {
-                    let mut mask = vec![0u64; wpv];
-                    for &fid in dst.facts_with_rel(rel) {
-                        let t = dst.fact(fid).args[0].index();
-                        mask[t / 64] |= 1u64 << (t % 64);
-                    }
-                    unary_masks[ri] = Some(mask);
-                }
-                2 if bin_out_masks[ri].is_none() => {
-                    let mut out = vec![0u64; n_dst * wpv];
-                    let mut inc = vec![0u64; n_dst * wpv];
-                    for &fid in dst.facts_with_rel(rel) {
-                        let args = &dst.fact(fid).args;
-                        let (a, b) = (args[0].index(), args[1].index());
-                        out[a * wpv + b / 64] |= 1u64 << (b % 64);
-                        inc[b * wpv + a / 64] |= 1u64 << (a % 64);
-                    }
-                    bin_out_masks[ri] = Some(out);
-                    bin_inc_masks[ri] = Some(inc);
-                }
-                _ => {}
+            if matches!(con_args[ci].1, 1 | 2) {
+                wanted[rel.index()] = true;
             }
         }
+        let masks = RelMasks::build(dst, Some(&wanted));
         let branch_first = tweaks.branch_first.and_then(|v| {
             let vi = var_of_value[v.index()];
             (vi != usize::MAX).then_some(vi)
@@ -767,9 +742,7 @@ impl<'a> Problem<'a> {
             cov_arena,
             cov_start,
             max_arity,
-            unary_masks,
-            bin_out_masks,
-            bin_inc_masks,
+            masks,
             src_active,
             dst_active,
             dst_allowed,
@@ -951,19 +924,21 @@ impl<'a> Problem<'a> {
     /// Recomputes the supports of constraint `ci` and narrows its variables;
     /// returns false on a wipe-out.
     ///
-    /// Three support strategies, cheapest applicable first:
+    /// Four support strategies, cheapest applicable first:
     /// * **unary** constraints intersect with the precomputed membership
     ///   mask of the relation — one word operation per block;
+    /// * **loop** constraints `R(x,x)` intersect with the relation's loop
+    ///   set the same way;
     /// * **binary** constraints on two distinct variables run over the
     ///   precomputed adjacency masks of the target: for each candidate `t`
     ///   of the narrower side, `mask(t) ∩ cands(other)` decides `t`'s
     ///   support and accumulates the other side's support — word arithmetic
     ///   only, no per-fact scanning;
-    /// * everything else (arity ≥ 3, repeated variables) enumerates the
-    ///   target facts through the `(relation, position, value)` index,
-    ///   pivoting on the argument with the fewest candidates.
+    /// * everything else (arity ≥ 3) enumerates the target facts through
+    ///   the `(relation, position, value)` index, pivoting on the argument
+    ///   with the fewest candidates.
     ///
-    /// All three compute the same generalized-arc-consistency supports, so
+    /// All four compute the same generalized-arc-consistency supports, so
     /// the closure — and hence the search tree — is identical whichever
     /// path runs.
     fn revise(&self, state: &mut SearchState, ci: usize) -> bool {
@@ -979,51 +954,57 @@ impl<'a> Problem<'a> {
             supports,
         } = state;
         let wpv = cands.wpv;
+        // The bitsets exist for every unary and binary relation a
+        // constraint uses (`Problem::new_masked`).
+        let ri = rel.index();
+        let built = "bitsets built for every used relation";
         // Unary fast path: the support is the precomputed membership mask.
         if n == 1 {
-            if let Some(mask) = &self.unary_masks[rel.index()] {
-                return self.narrow(cands, scratch, arg_vars[0] as usize, mask);
-            }
+            let mask = self.masks.unary[ri].as_ref().expect(built);
+            return self.narrow(cands, scratch, arg_vars[0] as usize, mask);
+        }
+        // Loop fast path: `R(x,x)` is supported exactly by the loops.
+        if n == 2 && arg_vars[0] == arg_vars[1] {
+            let loops = self.masks.loops[ri].as_ref().expect(built);
+            return self.narrow(cands, scratch, arg_vars[0] as usize, loops);
         }
         // Binary fast path over the adjacency masks.
-        if n == 2 && arg_vars[0] != arg_vars[1] {
-            if let (Some(out), Some(inc)) = (
-                &self.bin_out_masks[rel.index()],
-                &self.bin_inc_masks[rel.index()],
-            ) {
-                let (x, y) = (arg_vars[0] as usize, arg_vars[1] as usize);
-                let (pivot_var, other_var, masks) = if cands.count(x) <= cands.count(y) {
-                    (x, y, out)
-                } else {
-                    (y, x, inc)
-                };
-                for w in &mut supports[..2 * wpv] {
-                    *w = 0;
-                }
-                // supports[..wpv] = pivot side, supports[wpv..2*wpv] = other.
-                let other_block = cands.block(other_var);
-                for t in cands.values(pivot_var) {
-                    let mut any = false;
-                    for k in 0..wpv {
-                        let hits = masks[t * wpv + k] & other_block[k];
-                        if hits != 0 {
-                            any = true;
-                            supports[wpv + k] |= hits;
-                        }
-                    }
-                    if any {
-                        supports[t / 64] |= 1u64 << (t % 64);
-                    }
-                }
-                // Narrow in fixed position order (x before y) so worklist
-                // order matches the generic path.
-                let (x_start, y_start) = if pivot_var == x { (0, wpv) } else { (wpv, 0) };
-                return self.narrow(cands, scratch, x, &supports[x_start..x_start + wpv])
-                    && self.narrow(cands, scratch, y, &supports[y_start..y_start + wpv]);
+        if n == 2 {
+            let out = self.masks.out[ri].as_ref().expect(built);
+            let inc = self.masks.inc[ri].as_ref().expect(built);
+            let (x, y) = (arg_vars[0] as usize, arg_vars[1] as usize);
+            let (pivot_var, other_var, masks) = if cands.count(x) <= cands.count(y) {
+                (x, y, out)
+            } else {
+                (y, x, inc)
+            };
+            for w in &mut supports[..2 * wpv] {
+                *w = 0;
             }
+            // supports[..wpv] = pivot side, supports[wpv..2*wpv] = other.
+            let other_block = cands.block(other_var);
+            for t in cands.values(pivot_var) {
+                let mut any = false;
+                for k in 0..wpv {
+                    let hits = masks[t * wpv + k] & other_block[k];
+                    if hits != 0 {
+                        any = true;
+                        supports[wpv + k] |= hits;
+                    }
+                }
+                if any {
+                    supports[t / 64] |= 1u64 << (t % 64);
+                }
+            }
+            // Narrow in fixed position order (x before y) so worklist
+            // order matches the generic path.
+            let (x_start, y_start) = if pivot_var == x { (0, wpv) } else { (wpv, 0) };
+            return self.narrow(cands, scratch, x, &supports[x_start..x_start + wpv])
+                && self.narrow(cands, scratch, y, &supports[y_start..y_start + wpv]);
         }
-        // Generic path: enumerate target facts through the index, pivoting
-        // on the argument position with the fewest candidates.
+        // Generic path (arity ≥ 3): enumerate target facts through the
+        // index, pivoting on the argument position with the fewest
+        // candidates.
         for w in &mut supports[..n * wpv] {
             *w = 0;
         }

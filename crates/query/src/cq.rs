@@ -214,7 +214,11 @@ impl Cq {
         for v in inst.values() {
             if inst.is_active(v) {
                 var_of_value[v.index()] = Some(Variable(var_names.len() as u32));
-                var_names.push(format!("x_{}", inst.label(v)));
+                let label = inst.label(v);
+                let mut name = String::with_capacity(label.len() + 2);
+                name.push_str("x_");
+                name.push_str(label);
+                var_names.push(name);
             }
         }
         let atoms = inst

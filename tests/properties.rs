@@ -5,7 +5,7 @@
 //! documented seed, so failures reproduce identically run-to-run (no
 //! proptest shrinking, but also no flakiness and no external dependency).
 
-use cqfit_data::{Example, Instance, Schema, Value};
+use cqfit_data::{Example, Fact, Instance, Schema, Value};
 use cqfit_hom::{core_of, direct_product, disjoint_union, hom_equivalent, hom_exists};
 use cqfit_query::{is_c_acyclic_example, Cq};
 use rand::rngs::StdRng;
@@ -183,6 +183,89 @@ fn minimized_ucq_disjuncts_pairwise_incomparable() {
         }
     }
     assert!(pruned > 0, "the sweep never pruned a disjunct");
+}
+
+/// The structural hash is a set hash: the same facts over the same values
+/// hash equal in any insertion order (through `add_fact` and through
+/// `Instance::from_facts`), and replacing one fact, changing one argument
+/// of one fact, or declaring one more value changes it.
+#[test]
+fn structural_hash_is_an_order_free_set_hash() {
+    let schema = std::sync::Arc::new(Schema::new([("U", 1), ("R", 2), ("T", 3)]).unwrap());
+    let rels: Vec<_> = schema.rel_ids().collect();
+    let build = |n: usize, facts: &[Fact]| {
+        let mut inst = Instance::new(schema.clone());
+        inst.add_values("v", n);
+        for f in facts {
+            inst.add_fact(f.rel, &f.args).unwrap();
+        }
+        inst
+    };
+    for seed in 0..500u64 {
+        let mut rng = StdRng::seed_from_u64(0x5E7_0000 + seed);
+        let n = rng.gen_range(2usize..=8);
+        let random_fact = |rng: &mut StdRng| {
+            let rel = rels[rng.gen_range(0..rels.len())];
+            let args = (0..schema.arity(rel))
+                .map(|_| Value(rng.gen_range(0..n as u32)))
+                .collect();
+            Fact { rel, args }
+        };
+        let mut facts: Vec<Fact> = Vec::new();
+        for _ in 0..rng.gen_range(1usize..=12) {
+            let f = random_fact(&mut rng);
+            if !facts.contains(&f) {
+                facts.push(f);
+            }
+        }
+        let inst = build(n, &facts);
+        let hash = inst.canonical_hash();
+
+        let mut shuffled = facts.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        assert_eq!(build(n, &shuffled).canonical_hash(), hash, "seed {seed}");
+        let labels = (0..n).map(|i| format!("w{i}")).collect();
+        let bulk = Instance::from_facts(schema.clone(), labels, shuffled).unwrap();
+        assert_eq!(bulk.canonical_hash(), hash, "seed {seed}: from_facts");
+
+        let at = rng.gen_range(0..facts.len());
+        let replacement = loop {
+            let f = random_fact(&mut rng);
+            if !facts.contains(&f) {
+                break f;
+            }
+        };
+        let mut replaced = facts.clone();
+        replaced[at] = replacement;
+        assert_ne!(
+            build(n, &replaced).canonical_hash(),
+            hash,
+            "seed {seed}: fact"
+        );
+
+        let mut moved = facts.clone();
+        let pos = rng.gen_range(0..moved[at].args.len());
+        let old = moved[at].args[pos].0;
+        for delta in 1..n as u32 {
+            moved[at].args[pos] = Value((old + delta) % n as u32);
+            if !facts.contains(&moved[at]) {
+                break;
+            }
+        }
+        if !facts.contains(&moved[at]) {
+            assert_ne!(
+                build(n, &moved).canonical_hash(),
+                hash,
+                "seed {seed}: argument"
+            );
+        }
+
+        let mut wider = inst.clone();
+        wider.add_value("extra");
+        assert_ne!(wider.canonical_hash(), hash, "seed {seed}: value count");
+    }
 }
 
 /// Canonical CQ ↔ canonical example round trips up to equivalence, and
