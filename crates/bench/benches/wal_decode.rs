@@ -3,8 +3,9 @@
 //! a churn of single-value examples over 5 values at density 0.3 — at
 //! most 2 positives and 3 negatives live), reported in MB/s of log text.
 //!
-//! `wal_decode` decodes the log's lines (replay); `wal_encode` encodes
-//! its records (appends), plus the wire line of a `durable_ingest`-shaped
+//! `wal_decode` decodes the log's lines (replay), next to `Value::parse`
+//! of the same lines as the yardstick; `wal_encode` encodes its records
+//! (appends), plus the wire line of a `durable_ingest`-shaped
 //! `add_example` request with its `request_id` and `trace` metadata.
 
 use cqfit_data::Schema;
@@ -16,6 +17,7 @@ use cqfit_store::LogRecord;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::json::Value;
 use std::time::Duration;
 
 const WORKSPACES: u64 = 64;
@@ -89,6 +91,19 @@ fn bench_wal_decode(c: &mut Criterion) {
         b.iter(|| {
             for line in &lines {
                 black_box(decode_record(line).expect("intact line"));
+            }
+        })
+    });
+    // The tree of the same lines: `decode_record` should be no slower.
+    let label = format!("value_parse/{}_lines", lines.len());
+    let lines: Vec<&str> = lines
+        .iter()
+        .map(|l| std::str::from_utf8(l).expect("the log is UTF-8"))
+        .collect();
+    group.bench_function(label.as_str(), |b| {
+        b.iter(|| {
+            for line in &lines {
+                black_box(Value::parse(line).expect("intact line"));
             }
         })
     });

@@ -22,9 +22,8 @@
 //!   of arity ≥ 3, the simulation and duality checks;
 //! * `Instance::facts_with_rel_pos_value` — the search's revision of
 //!   constraints of arity ≥ 3, and the simulation check;
-//! * `Instance::facts_containing` — the core fold (`fold_dominated` in
-//!   `cqfit_hom`), Gaifman neighbours and components, and the tree and
-//!   frontier constructions;
+//! * `Instance::facts_containing` — Gaifman neighbours and components,
+//!   and the tree and frontier constructions;
 //! * `Instance::facts_with_rel` — the duality checks and the reference
 //!   search engine.
 //!
@@ -108,11 +107,11 @@ impl FactIndex {
     /// SipHash work.  The probe is the inner loop of forward checking and
     /// of fact deduplication during instance construction; at the instance
     /// sizes this library handles (paper families, products of examples)
-    /// the short-posting-list scan wins by a wide margin — see
-    /// `BENCH_pr2.json`.  For pathologically dense instances (complete
-    /// graphs with tens of thousands of values) construction would degrade
-    /// to O(Σ degree) per insert; revisit with a hash-free open-addressing
-    /// table if such workloads ever appear.
+    /// the short-posting-list scan wins by a wide margin.  For
+    /// pathologically dense instances (complete graphs with tens of
+    /// thousands of values) construction would degrade to O(Σ degree) per
+    /// insert; revisit with a hash-free open-addressing table if such
+    /// workloads ever appear.
     pub fn lookup(&self, facts: &[Fact], rel: RelId, args: &[Value]) -> Option<FactId> {
         let postings = if args.is_empty() {
             self.with_rel(rel)

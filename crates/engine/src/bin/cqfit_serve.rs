@@ -1,15 +1,14 @@
 //! `cqfit-serve` — the JSONL-over-TCP fitting server.
 //!
 //! ```text
-//! cqfit-serve [--addr HOST:PORT] [--no-cache] [--metrics HOST:PORT]
+//! cqfit-serve [--addr HOST:PORT] [--metrics HOST:PORT]
 //!             [--data-dir PATH] [--compact-after N] [--no-fsync]
 //!             [--flight-recorder DIR] [--fr-slots N]
 //! ```
 //!
 //! Binds (default `127.0.0.1:7878`), prints `listening on <addr>` to
 //! stdout once ready, and serves until a client sends
-//! `{"op":"shutdown"}`.  `--no-cache` disables the shared hom/core result
-//! cache (the uncached baseline configuration of the perf capture).
+//! `{"op":"shutdown"}`.
 //!
 //! With `--data-dir` the engine is **durable**: workspace mutations are
 //! written to per-workspace write-ahead logs under the directory before
@@ -45,7 +44,7 @@ use std::sync::Arc;
 fn usage_error(message: &str) -> ! {
     eprintln!("cqfit-serve: {message}");
     eprintln!(
-        "usage: cqfit-serve [--addr HOST:PORT] [--no-cache] [--metrics HOST:PORT] [--data-dir PATH] [--compact-after N] [--no-fsync] [--flight-recorder DIR] [--fr-slots N]"
+        "usage: cqfit-serve [--addr HOST:PORT] [--metrics HOST:PORT] [--data-dir PATH] [--compact-after N] [--no-fsync] [--flight-recorder DIR] [--fr-slots N]"
     );
     std::process::exit(2);
 }
@@ -79,7 +78,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:7878".to_string();
     let mut metrics_addr: Option<String> = None;
-    let mut caching = true;
     let mut data_dir: Option<String> = None;
     let mut compact_after = 1024usize;
     let mut fsync = true;
@@ -95,7 +93,6 @@ fn main() {
                 }
                 None => usage_error("`--addr` requires a HOST:PORT value"),
             },
-            "--no-cache" => caching = false,
             "--metrics" => match args.get(i + 1) {
                 Some(value) => {
                     metrics_addr = Some(value.clone());
@@ -137,7 +134,7 @@ fn main() {
         i += 1;
     }
 
-    let config = EngineConfig { caching };
+    let config = EngineConfig::default();
     // One explicit production environment for the whole process: the
     // store inherits it, and Engine::with_store inherits the store's.
     let env = RealEnv::arc();

@@ -20,19 +20,9 @@ use std::time::Duration;
 /// wire-supplied sizes would otherwise drive unchecked.
 const MAX_ARITY: usize = 64;
 
-/// Configuration of an [`Engine`].
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Route hom/core work through a shared [`HomCache`] (default `true`).
-    /// Disabling it yields the uncached baseline used by the perf capture.
-    pub caching: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig { caching: true }
-    }
-}
+/// Configuration of an [`Engine`]; it has no settings at present.
+#[derive(Debug, Clone, Default)]
+pub struct EngineConfig {}
 
 /// A long-lived fitting service holding named workspaces.
 ///
@@ -61,7 +51,7 @@ impl Default for EngineConfig {
 /// unchanged and surfaces as an error response.
 pub struct Engine {
     workspaces: RwLock<HashMap<String, Arc<WorkspaceSlot>>>,
-    cache: Option<Arc<HomCache>>,
+    cache: Arc<HomCache>,
     /// The unified metrics registry (PR 9).  Durable engines adopt the
     /// store's registry — mirroring the [`Env`] inheritance — so the
     /// whole stack's counters and histograms land in one place; the
@@ -201,15 +191,13 @@ impl Engine {
     /// A fresh, non-durable engine over an explicit [`Env`] — the
     /// simulation harness injects its deterministic clock and scheduler
     /// here.
-    pub fn with_env(config: EngineConfig, env: Arc<dyn Env>) -> Self {
+    pub fn with_env(_config: EngineConfig, env: Arc<dyn Env>) -> Self {
         let started = env.clock().monotonic();
         let registry = Arc::new(Registry::new());
         let tracer = Arc::new(Tracer::new(env.clone(), registry.clone()));
         Engine {
             workspaces: RwLock::new(HashMap::new()),
-            cache: config
-                .caching
-                .then(|| Arc::new(HomCache::with_registry(registry.clone()))),
+            cache: Arc::new(HomCache::with_registry(registry.clone())),
             registry,
             tracer,
             memo: Mutex::new(IdempotencyMemo::default()),
@@ -233,7 +221,7 @@ impl Engine {
     /// Propagates store I/O failures and logs whose restored state fails
     /// validation.
     pub fn with_store(
-        config: EngineConfig,
+        _config: EngineConfig,
         store: Store,
     ) -> Result<(Engine, RecoveryReport), StoreError> {
         let env = store.env().clone();
@@ -302,9 +290,7 @@ impl Engine {
         let tracer = Arc::new(Tracer::new(env.clone(), registry.clone()));
         let engine = Engine {
             workspaces: RwLock::new(map),
-            cache: config
-                .caching
-                .then(|| Arc::new(HomCache::with_registry(registry.clone()))),
+            cache: Arc::new(HomCache::with_registry(registry.clone())),
             registry,
             tracer,
             memo: Mutex::new(memo),
@@ -321,9 +307,9 @@ impl Engine {
         &self.env
     }
 
-    /// The shared hom/core cache, when caching is enabled.
-    pub fn cache(&self) -> Option<&Arc<HomCache>> {
-        self.cache.as_ref()
+    /// The shared hom/core cache.
+    pub fn cache(&self) -> &Arc<HomCache> {
+        &self.cache
     }
 
     /// The unified metrics registry: shared with the store (durable
@@ -403,7 +389,7 @@ impl Engine {
             pipeline_window: PIPELINE_WINDOW,
             memo_workspaces,
             memo_entries,
-            cache: self.cache.as_ref().map(|c| c.stats()),
+            cache: Some(self.cache.stats()),
             store: self.store.as_ref().map(|s| s.stats()),
             revisions,
         }
@@ -776,14 +762,13 @@ impl Engine {
                 // reads, so instrumenting the path draws no extra clock
                 // ticks (memo hits record nothing — delta stays zero).
                 let before = ws.fit_nanos();
-                let response =
-                    match ws.fitting_exists(*class, self.cache.as_deref(), self.env.clock()) {
-                        Ok(exists) => Response::Exists {
-                            class: *class,
-                            exists,
-                        },
-                        Err(e) => Response::error(e.to_string()),
-                    };
+                let response = match ws.fitting_exists(*class, &self.cache, self.env.clock()) {
+                    Ok(exists) => Response::Exists {
+                        class: *class,
+                        exists,
+                    },
+                    Err(e) => Response::error(e.to_string()),
+                };
                 let spent = ws.fit_nanos().saturating_sub(before);
                 if spent > 0 {
                     self.registry.engine_fit_ns.record(spent);
@@ -796,8 +781,7 @@ impl Engine {
                 mode,
             } => self.with_workspace(workspace, |ws| {
                 let before = ws.fit_nanos();
-                let response = match ws.fit(*class, *mode, self.cache.as_deref(), self.env.clock())
-                {
+                let response = match ws.fit(*class, *mode, &self.cache, self.env.clock()) {
                     Ok(query) => Response::Fitting {
                         class: *class,
                         mode: *mode,
@@ -1019,9 +1003,9 @@ mod tests {
             mode: FitMode::Minimized,
         };
         let first = engine.handle(&fit);
-        let cache_after_first = engine.cache().unwrap().stats();
+        let cache_after_first = engine.cache().stats();
         let second = engine.handle(&fit);
-        let cache_after_second = engine.cache().unwrap().stats();
+        let cache_after_second = engine.cache().stats();
         assert_eq!(
             cache_after_first.core_misses, cache_after_second.core_misses,
             "memo answered without recomputing"

@@ -49,10 +49,7 @@
 //! Simulation") for the workspace model, the incremental product
 //! maintenance rules, the cache keying and invalidation story, the log
 //! format/recovery invariants, and the simulation crash model;
-//! `EXPERIMENTS.md` documents the throughput methodology behind
-//! `BENCH_pr4.json`, the replay/restore methodology behind
-//! `BENCH_pr5.json`, and the simulation/overhead methodology behind
-//! `BENCH_pr6.json`.
+//! `EXPERIMENTS.md` documents how the engine is benchmarked.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -297,7 +297,8 @@ pub struct EngineStats {
     /// Total remembered identified mutations across all memo rings
     /// (each ring is capped at the pipeline window).
     pub memo_entries: u64,
-    /// Hom/core cache statistics, when caching is enabled.
+    /// Hom/core cache statistics.  An engine always reports them; the
+    /// wire keeps them optional (`"caching":false` when absent).
     pub cache: Option<cqfit_hom::CacheStats>,
     /// Store statistics (records, bytes, compactions), when a store is
     /// configured.

@@ -79,7 +79,7 @@ impl Workspace {
     pub fn fitting_exists(
         &mut self,
         class: QueryClass,
-        cache: Option<&HomCache>,
+        cache: &HomCache,
         clock: &dyn Clock,
     ) -> Result<bool> {
         let revision = self.state.revision();
@@ -90,8 +90,8 @@ impl Workspace {
         }
         let begun = clock.monotonic();
         let answer = match class {
-            QueryClass::Cq => self.state.cq_fitting_exists(cache)?,
-            QueryClass::Ucq => self.state.ucq_fitting_exists(cache)?,
+            QueryClass::Cq => self.state.cq_fitting_exists(Some(cache))?,
+            QueryClass::Ucq => self.state.ucq_fitting_exists(Some(cache))?,
         };
         self.note_fit_time(begun, clock);
         self.exists_memo.insert(class, (revision, answer));
@@ -104,7 +104,7 @@ impl Workspace {
         &mut self,
         class: QueryClass,
         mode: FitMode,
-        cache: Option<&HomCache>,
+        cache: &HomCache,
         clock: &dyn Clock,
     ) -> Result<Option<FitQuery>> {
         let revision = self.state.revision();
@@ -115,20 +115,21 @@ impl Workspace {
         }
         let begun = clock.monotonic();
         let query = match (class, mode) {
-            (QueryClass::Cq, FitMode::Plain) => {
-                self.state.cq_construct_fitting(cache)?.map(FitQuery::Cq)
-            }
+            (QueryClass::Cq, FitMode::Plain) => self
+                .state
+                .cq_construct_fitting(Some(cache))?
+                .map(FitQuery::Cq),
             (QueryClass::Cq, FitMode::Minimized) => self
                 .state
-                .cq_construct_fitting_minimized(cache)?
+                .cq_construct_fitting_minimized(Some(cache))?
                 .map(FitQuery::Cq),
             (QueryClass::Ucq, FitMode::Plain) => self
                 .state
-                .ucq_most_specific_fitting(cache)?
+                .ucq_most_specific_fitting(Some(cache))?
                 .map(FitQuery::Ucq),
             (QueryClass::Ucq, FitMode::Minimized) => self
                 .state
-                .ucq_most_specific_fitting_minimized(cache)?
+                .ucq_most_specific_fitting_minimized(Some(cache))?
                 .map(FitQuery::Ucq),
         };
         self.note_fit_time(begun, clock);
@@ -163,25 +164,26 @@ mod tests {
             .unwrap();
         let tick = Duration::from_micros(7);
         let clock = ManualClock::with_auto_tick(tick);
+        let cache = HomCache::new();
         assert_eq!(ws.fit_nanos(), 0);
-        ws.fit(QueryClass::Cq, FitMode::Plain, None, &clock)
+        ws.fit(QueryClass::Cq, FitMode::Plain, &cache, &clock)
             .unwrap();
         // One computation = two clock readings = exactly one tick between.
         assert_eq!(ws.fit_nanos(), tick.as_nanos() as u64);
         // Memo hit: no clock reading, no accumulated time.
-        ws.fit(QueryClass::Cq, FitMode::Plain, None, &clock)
+        ws.fit(QueryClass::Cq, FitMode::Plain, &cache, &clock)
             .unwrap();
         assert_eq!(ws.fit_nanos(), tick.as_nanos() as u64);
         // An existence question computes again (different memo).
-        ws.fitting_exists(QueryClass::Cq, None, &clock).unwrap();
+        ws.fitting_exists(QueryClass::Cq, &cache, &clock).unwrap();
         assert_eq!(ws.fit_nanos(), 2 * tick.as_nanos() as u64);
-        ws.fitting_exists(QueryClass::Cq, None, &clock).unwrap();
+        ws.fitting_exists(QueryClass::Cq, &cache, &clock).unwrap();
         assert_eq!(ws.fit_nanos(), 2 * tick.as_nanos() as u64);
         // A mutation invalidates the memo; the next fit computes and pays.
         ws.state_mut()
             .add_negative(parse_example(&schema, "R(a,b)\nR(b,a)").unwrap())
             .unwrap();
-        ws.fit(QueryClass::Cq, FitMode::Plain, None, &clock)
+        ws.fit(QueryClass::Cq, FitMode::Plain, &cache, &clock)
             .unwrap();
         assert_eq!(ws.fit_nanos(), 3 * tick.as_nanos() as u64);
     }

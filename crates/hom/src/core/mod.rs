@@ -72,7 +72,9 @@ use std::collections::HashSet;
 /// substituted tuple.  Candidates are taken in index order, so the fold
 /// is deterministic.  `masks` are the bitsets of the full fact table:
 /// dead values in them never matter, because every candidate set they
-/// narrow starts as the alive mask.
+/// narrow starts as the alive mask.  The facts of each value are
+/// gathered from the fact table ([`FactsByValue`]), so no fact index is
+/// built.
 fn fold_dominated(
     masks: &RelMasks,
     inst: &Instance,
@@ -87,6 +89,7 @@ fn fold_dominated(
         loops,
     } = masks;
     let wpv = *wpv;
+    let containing = FactsByValue::of(inst);
     let mut alive_words = vec![0u64; wpv];
     for (i, _) in alive.iter().enumerate().filter(|(_, &a)| a) {
         set_bit(&mut alive_words, i);
@@ -104,8 +107,8 @@ fn fold_dominated(
             cand.copy_from_slice(&alive_words);
             clear_bit(&mut cand, u);
             wide.clear();
-            for &fid in inst.facts_containing(Value(u as u32)) {
-                let f = inst.fact(fid);
+            for &fid in containing.of_value(u) {
+                let f = &inst.facts()[fid];
                 if !f.args.iter().all(|a| alive[a.index()]) {
                     continue;
                 }
@@ -127,7 +130,7 @@ fn fold_dominated(
             }
             let dominator = set_bits(&cand).find(|&v| {
                 wide.iter().all(|&fid| {
-                    let f = inst.fact(fid);
+                    let f = &inst.facts()[fid];
                     args.clear();
                     args.extend(f.args.iter().map(|&a| {
                         if a.index() == u {
@@ -145,6 +148,51 @@ fn fold_dominated(
                 folded = true;
             }
         }
+    }
+}
+
+/// The positions in the fact table of the facts each value occurs in,
+/// each fact once per value and in table order, in one arena filled by
+/// two walks of the table (count, then place).
+struct FactsByValue {
+    /// The list of value `v` is `facts[starts[v]..starts[v + 1]]`.
+    starts: Vec<usize>,
+    facts: Vec<usize>,
+}
+
+impl FactsByValue {
+    fn of(inst: &Instance) -> Self {
+        /// Each distinct value of a fact, by index.
+        fn values(args: &[Value]) -> impl Iterator<Item = usize> + '_ {
+            (0..args.len())
+                .filter(|&i| !args[..i].contains(&args[i]))
+                .map(|i| args[i].index())
+        }
+        let n = inst.num_values();
+        // Counted two places up, so that filling below moves each start
+        // into its final place.
+        let mut starts = vec![0; n + 2];
+        for f in inst.facts() {
+            for v in values(&f.args) {
+                starts[v + 2] += 1;
+            }
+        }
+        for v in 2..n + 2 {
+            starts[v] += starts[v - 1];
+        }
+        let mut facts = vec![0; starts[n + 1]];
+        for (fid, f) in inst.facts().iter().enumerate() {
+            for v in values(&f.args) {
+                facts[starts[v + 1]] = fid;
+                starts[v + 1] += 1;
+            }
+        }
+        starts.pop();
+        FactsByValue { starts, facts }
+    }
+
+    fn of_value(&self, v: usize) -> &[usize] {
+        &self.facts[self.starts[v]..self.starts[v + 1]]
     }
 }
 

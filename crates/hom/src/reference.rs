@@ -7,8 +7,7 @@
 //! step.  It is kept as the oracle of the differential test suite
 //! (`tests/differential_hom.rs`), which checks that the new engine agrees
 //! with it on existence, enumeration and witnesses over hundreds of random
-//! instances.  The old-versus-new speedups it once anchored are recorded
-//! in `BENCH_pr2.json` (see EXPERIMENTS.md).
+//! instances.
 //!
 //! It is **not** part of the supported API surface.
 

@@ -288,7 +288,8 @@ fn split_frame(line: &[u8]) -> Option<(u32, &[u8])> {
 }
 
 /// Decodes one log line (without its trailing newline): checks the
-/// checksum over the raw record body, then decodes the body in one pass.
+/// checksum over the raw record body, then decodes the body straight
+/// from its text ([`serde::json::decode`]).
 ///
 /// # Errors
 /// [`RecordError::Torn`] when the line is unframed or fails its checksum;

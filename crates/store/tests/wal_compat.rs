@@ -10,6 +10,7 @@
 use cqfit_data::{Example, Instance, Schema, Value};
 use cqfit_store::record::{decode_record, encode_record};
 use cqfit_store::{LogRecord, WorkspaceSnapshot};
+use serde::json::Value as Json;
 use serde::Deserialize;
 use std::sync::Arc;
 
@@ -162,33 +163,88 @@ fn body_of(line: &str) -> &str {
     &line[start..line.len() - 1]
 }
 
+/// `v` with the keys of every object in reverse order.
+fn reversed(v: &Json) -> Json {
+    match v {
+        Json::Arr(items) => Json::Arr(items.iter().map(reversed).collect()),
+        Json::Obj(pairs) => Json::Obj(
+            pairs
+                .iter()
+                .rev()
+                .map(|(k, v)| (k.clone(), reversed(v)))
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+/// Every truncation of `text` and a spread of single-byte changes.
+fn broken(text: &str) -> Vec<String> {
+    let mut texts: Vec<String> = (0..text.len())
+        .filter_map(|n| text.get(..n).map(str::to_string))
+        .collect();
+    for at in 0..text.len() {
+        for &byte in b"\"\\,:}]9x \n" {
+            let mut changed = text.as_bytes().to_vec();
+            changed[at] = byte;
+            texts.extend(String::from_utf8(changed));
+        }
+    }
+    texts
+}
+
 /// Decoding a body straight from its text gives exactly what parsing it
 /// into a tree and decoding that gives — the same record or the same
 /// error — on every truncation and on a spread of single-byte changes.
+/// A body still decodes to its record with its keys in reverse order,
+/// with a key repeated after its first occurrence, and with a key spelled
+/// with an escape.  The wire lines of `wire_golden.txt` and a nesting
+/// deeper than the limit are compared the same way.
 #[test]
 fn direct_decode_matches_the_tree_on_every_broken_body() {
     let via_tree = |text: &str| {
-        serde::json::Value::parse(text)
+        Json::parse(text)
             .and_then(|v| LogRecord::from_json(&v))
             .map(|r| encode_record(&r))
     };
     let direct = |text: &str| serde::json::decode::<LogRecord>(text).map(|r| encode_record(&r));
+    let mut texts = Vec::new();
     for line in FIXTURE.lines() {
         let body = body_of(line);
-        assert_eq!(direct(body), via_tree(body));
-        assert!(direct(body).is_ok());
-        let mut texts: Vec<String> = (0..body.len())
-            .filter_map(|n| body.get(..n).map(str::to_string))
-            .collect();
-        for at in 0..body.len() {
-            for &byte in b"\"\\,:}]9x \n" {
-                let mut changed = body.as_bytes().to_vec();
-                changed[at] = byte;
-                texts.extend(String::from_utf8(changed));
-            }
+        let record = direct(body);
+        assert!(record.is_ok());
+        let tree = Json::parse(body).unwrap();
+        let Json::Obj(pairs) = &tree else {
+            panic!("a record body is an object");
+        };
+        let mut same = vec![
+            reversed(&tree).to_string(),
+            body.replace("\"arity\":", "\"\\u0061rity\":"),
+        ];
+        for (key, _) in pairs {
+            let mut after = pairs.clone();
+            after.push((key.clone(), Json::Null));
+            same.push(Json::Obj(after).to_string());
+            // Repeated in front, the other value is the one read.
+            let mut before = pairs.clone();
+            before.insert(0, (key.clone(), Json::Null));
+            texts.push(Json::Obj(before).to_string());
         }
-        for text in &texts {
-            assert_eq!(direct(text), via_tree(text), "decoding {text:?}");
+        for text in &same {
+            assert_eq!(direct(text), record, "decoding {text:?}");
         }
+        texts.extend(broken(body));
+        texts.push(body.to_string());
+        texts.extend(same);
+    }
+    const GOLDEN: &str = include_str!("../../engine/tests/wire_golden.txt");
+    for line in GOLDEN.lines() {
+        let wire = line.splitn(3, ' ').nth(2).expect("`kind name json` lines");
+        texts.push(wire.to_string());
+        texts.extend(broken(wire));
+    }
+    texts.push("[".repeat(200) + &"]".repeat(200));
+    for text in &texts {
+        assert_eq!(direct(text), via_tree(text), "decoding {text:?}");
     }
 }
