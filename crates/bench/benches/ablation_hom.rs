@@ -4,12 +4,12 @@
 //! minimizes, and the cost of a plain fit on freshly decoded examples (the
 //! first question after a restart).
 
+use cqfit::incremental::IncrementalFitting;
 use cqfit_data::{Example, Schema};
 use cqfit_gen::{
     directed_cycle, prime_cycles_family, random_labeled_examples, symmetric_clique, RandomConfig,
 };
 use cqfit_hom::{core_of, find_homomorphism_with, product_of, HomCache, HomConfig, HomSearchStats};
-use cqfit_query::Cq;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -151,10 +151,12 @@ fn bench_cold_fit(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300));
     let schema = Schema::digraph();
     let workspaces = cold_workspaces();
+    let numbered = |es: &[Example], from: u64| (from..).zip(es.iter().cloned()).collect::<Vec<_>>();
     // One iteration answers `Fit{Cq,Plain}` on all 64 workspaces with a
-    // fresh cache: Π E⁺, one cached hom batch into the negatives, and the
-    // canonical CQ.  Each workspace is cloned first — a clone of an
-    // unindexed, unhashed example stays cold — so the clones are part of
+    // fresh cache, as the engine does after a restart: each workspace is
+    // restored with `IncrementalFitting::from_parts` and asked
+    // `cq_construct_fitting`.  The restore clones the examples — a clone of
+    // an unindexed, unhashed example stays cold — so the clones are part of
     // the measured cost.
     group.bench_with_input(
         BenchmarkId::from_parameter("plain_fit_x64"),
@@ -163,18 +165,19 @@ fn bench_cold_fit(c: &mut Criterion) {
             b.iter(|| {
                 let cache = HomCache::new();
                 wss.iter()
-                    .map(|ws| {
-                        let (positives, negatives) = ws.clone();
-                        let product = product_of(&schema, 1, &positives).unwrap();
-                        if !product.is_data_example() {
-                            return 0;
-                        }
-                        let pairs: Vec<(&Example, &Example)> =
-                            negatives.iter().map(|n| (&product, n)).collect();
-                        if cache.any_hom_exists(&pairs) {
-                            return 0;
-                        }
-                        Cq::from_example(&product).unwrap().atoms().len()
+                    .map(|(positives, negatives)| {
+                        let next_id = (positives.len() + negatives.len()) as u64;
+                        let mut ws = IncrementalFitting::from_parts(
+                            schema.clone(),
+                            1,
+                            numbered(positives, 0),
+                            numbered(negatives, positives.len() as u64),
+                            next_id,
+                            next_id,
+                        )
+                        .unwrap();
+                        let fit = ws.cq_construct_fitting(Some(&cache)).unwrap();
+                        fit.map_or(0, |q| q.atoms().len())
                     })
                     .sum::<usize>()
             })

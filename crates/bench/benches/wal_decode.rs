@@ -3,10 +3,14 @@
 //! a churn of single-value examples over 5 values at density 0.3 — at
 //! most 2 positives and 3 negatives live), reported in MB/s of log text.
 //!
-//! `wal_decode` decodes the log's lines (replay), next to `Value::parse`
-//! of the same lines as the yardstick; `wal_encode` encodes its records
-//! (appends), plus the wire line of a `durable_ingest`-shaped
-//! `add_example` request with its `request_id` and `trace` metadata.
+//! `wal_decode` decodes the log's lines (replay).  Its yardstick is
+//! `Value::parse` of the same lines: the two loops are timed alternately
+//! for [`RATIO_ROUNDS`] rounds, so drift of the machine touches both, and
+//! one line reports the ratio of their minima,
+//! `wal_decode/decode_vs_tree ratio_of_minima=<x>` (below 1 means decoding
+//! beats building the tree).  `wal_encode` encodes its records (appends),
+//! plus the wire line of a `durable_ingest`-shaped `add_example` request
+//! with its `request_id` and `trace` metadata.
 
 use cqfit_data::Schema;
 use cqfit_engine::{ExamplePayload, Polarity, Request};
@@ -18,10 +22,12 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::json::Value;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WORKSPACES: u64 = 64;
 const CHURN_STEPS: usize = 34;
+/// Alternating rounds behind `wal_decode/decode_vs_tree`.
+const RATIO_ROUNDS: usize = 40;
 
 /// The log's records, every workspace's in turn.
 fn cold_records(seed: u64) -> Vec<LogRecord> {
@@ -94,20 +100,53 @@ fn bench_wal_decode(c: &mut Criterion) {
             }
         })
     });
-    // The tree of the same lines: `decode_record` should be no slower.
-    let label = format!("value_parse/{}_lines", lines.len());
-    let lines: Vec<&str> = lines
+    group.finish();
+    decode_vs_tree(&lines);
+}
+
+/// Times `decode_record` and `Value::parse` over the same lines in
+/// alternating rounds (each round switches which goes first) and prints
+/// the ratio of the two minima: `decode_record` should be no slower.
+fn decode_vs_tree(lines: &[&[u8]]) {
+    let texts: Vec<&str> = lines
         .iter()
         .map(|l| std::str::from_utf8(l).expect("the log is UTF-8"))
         .collect();
-    group.bench_function(label.as_str(), |b| {
-        b.iter(|| {
-            for line in &lines {
-                black_box(Value::parse(line).expect("intact line"));
-            }
-        })
-    });
-    group.finish();
+    let decode = || {
+        for line in lines {
+            black_box(decode_record(line).expect("intact line"));
+        }
+    };
+    let tree = || {
+        for text in &texts {
+            black_box(Value::parse(text).expect("intact line"));
+        }
+    };
+    let timed = |f: &dyn Fn()| {
+        let begun = Instant::now();
+        f();
+        begun.elapsed()
+    };
+    let (mut decode_min, mut tree_min) = (Duration::MAX, Duration::MAX);
+    for round in 0..=RATIO_ROUNDS {
+        let (d, t) = if round % 2 == 0 {
+            (timed(&decode), timed(&tree))
+        } else {
+            let t = timed(&tree);
+            (timed(&decode), t)
+        };
+        // Round 0 warms both loops up.
+        if round > 0 {
+            decode_min = decode_min.min(d);
+            tree_min = tree_min.min(t);
+        }
+    }
+    eprintln!(
+        "wal_decode/decode_vs_tree ratio_of_minima={:.3} decode_min_ms={:.3} tree_min_ms={:.3} rounds={RATIO_ROUNDS}",
+        decode_min.as_secs_f64() / tree_min.as_secs_f64(),
+        decode_min.as_secs_f64() * 1e3,
+        tree_min.as_secs_f64() * 1e3,
+    );
 }
 
 fn bench_wal_encode(c: &mut Criterion) {

@@ -15,17 +15,12 @@
 //! * **Unique fittings** (Proposition 3.34): a unique fitting is exactly a
 //!   fitting that is both most-specific and weakly most-general.
 
-use crate::{Certainty, FitError, Result, SearchBudget};
+use crate::{maps_into_some, Certainty, FitError, Result, SearchBudget};
 use cqfit_data::{Example, LabeledExamples, Schema};
 use cqfit_duality::{check_relativized_duality, frontier_examples, FrontierError};
-use cqfit_hom::{hom_exists, hom_exists_cross, product_of};
+use cqfit_hom::{hom_exists_cross, product_of};
 use cqfit_query::Cq;
 use std::sync::Arc;
-
-/// True if the example maps homomorphically into *some* negative example.
-fn maps_into_some_negative(e: &Example, examples: &LabeledExamples) -> bool {
-    examples.negatives().iter().any(|neg| hom_exists(e, neg))
-}
 
 /// For each source, whether it maps homomorphically into *some* target.
 fn cross_product_hom_flags(srcs: &[Example], dsts: &[Example]) -> Vec<bool> {
@@ -52,6 +47,30 @@ pub fn product_of_positives(examples: &LabeledExamples) -> Result<Example> {
     Ok(product_of(&schema, arity, examples.positives())?)
 }
 
+/// `Π E⁺` unless one of the two cheap refutations already shows that no CQ
+/// fits: the product is not a data example, or some positive maps into some
+/// negative (each projection `Π E⁺ → e⁺` is a homomorphism, so the product
+/// would map there too).  The second check searches from the small positives
+/// instead of the product.  Refuting only after the product is built keeps
+/// the `Err` of mismatched positives.
+fn unrefuted_product(examples: &LabeledExamples) -> Result<Option<Example>> {
+    let product = product_of_positives(examples)?;
+    if !product.is_data_example()
+        || maps_into_some(examples.positives(), examples.negatives(), None)
+    {
+        return Ok(None);
+    }
+    Ok(Some(product))
+}
+
+/// `Π E⁺` if its canonical CQ fits: [`unrefuted_product`], then the
+/// product→negative checks, which stop at the first negative that admits a
+/// homomorphism.
+fn fitting_product(examples: &LabeledExamples) -> Result<Option<Example>> {
+    Ok(unrefuted_product(examples)?
+        .filter(|product| !maps_into_some([product], examples.negatives(), None)))
+}
+
 /// Does the query fit the examples: is every positive example a positive
 /// example for `q` and every negative example a negative one?
 /// (Verification problem for arbitrary fittings, Theorem 3.1.)
@@ -68,28 +87,20 @@ pub fn verify_fitting(q: &Cq, examples: &LabeledExamples) -> Result<bool> {
 /// Does *some* CQ fit the examples?  (Existence problem, Theorem 3.2.)
 ///
 /// By Theorem 3.3 this holds iff `Π E⁺` is a data example that does not map
-/// homomorphically into any negative example; the per-negative checks stop
-/// at the first negative that admits a homomorphism.
+/// homomorphically into any negative example.  The questions run in one
+/// order: the product is built, checked to be a data example, refuted if a
+/// positive maps into a negative, and only then searched from.
 pub fn fitting_exists(examples: &LabeledExamples) -> Result<bool> {
-    let product = product_of_positives(examples)?;
-    if !product.is_data_example() {
-        return Ok(false);
-    }
-    Ok(!maps_into_some_negative(&product, examples))
+    Ok(fitting_product(examples)?.is_some())
 }
 
 /// Constructs a fitting CQ if one exists: the canonical CQ of `Π E⁺`
 /// (Theorem 3.3).  The result, when it exists, is a most-specific fitting
 /// (Proposition 3.5).
 pub fn construct_fitting(examples: &LabeledExamples) -> Result<Option<Cq>> {
-    let product = product_of_positives(examples)?;
-    if !product.is_data_example() {
-        return Ok(None);
-    }
-    if maps_into_some_negative(&product, examples) {
-        return Ok(None);
-    }
-    Ok(Some(Cq::from_example(&product)?))
+    fitting_product(examples)?
+        .map(|product| Ok(Cq::from_example(&product)?))
+        .transpose()
 }
 
 /// Constructs the most-specific fitting CQ if one exists (Proposition 3.5:
@@ -107,16 +118,16 @@ pub fn most_specific_fitting(examples: &LabeledExamples) -> Result<Option<Cq>> {
 /// product, so it is a data example exactly when the product is, it maps
 /// into a negative example exactly when the product does (the per-negative
 /// checks below run on the smaller core), and its canonical CQ is equivalent
-/// to the uncored fitting.  The size claims of Theorems 3.40–3.42 are claims
-/// about precisely this core.
+/// to the uncored fitting.  A collection in which some positive maps into a
+/// negative is refuted before the product is cored.  The size claims of
+/// Theorems 3.40–3.42 are claims about precisely this core.
 pub fn construct_fitting_minimized(examples: &LabeledExamples) -> Result<Option<Cq>> {
-    let product = product_of_positives(examples)?;
-    if !product.is_data_example() {
+    let Some(product) = unrefuted_product(examples)? else {
         return Ok(None);
-    }
+    };
     let core = cqfit_hom::core_of(&product);
     debug_assert!(core.is_data_example());
-    if maps_into_some_negative(&core, examples) {
+    if maps_into_some([&core], examples.negatives(), None) {
         return Ok(None);
     }
     Ok(Some(Cq::from_example(&core)?))
@@ -209,7 +220,9 @@ pub fn verify_weakly_most_general(q: &Cq, examples: &LabeledExamples) -> Result<
         Err(e) => return Err(e.into()),
     };
     // The first failing member settles the answer.
-    Ok(members.iter().all(|m| maps_into_some_negative(m, examples)))
+    Ok(members
+        .iter()
+        .all(|m| maps_into_some([m], examples.negatives(), None)))
 }
 
 /// Bounded-complete existence check for weakly most-general fitting CQs
@@ -312,15 +325,14 @@ pub fn verify_basis(
             return Ok(Certainty::No);
         }
     }
-    let product = product_of_positives(examples)?;
-    if !product.is_data_example() || maps_into_some_negative(&product, examples) {
+    let Some(product) = fitting_product(examples)? else {
         // No fitting CQ exists: the empty basis (and only it) is valid.
         return Ok(if basis.is_empty() {
             Certainty::Yes
         } else {
             Certainty::No
         });
-    }
+    };
     if basis.is_empty() {
         return Ok(Certainty::No);
     }

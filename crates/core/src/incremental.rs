@@ -20,6 +20,13 @@
 //! * **Negative examples never touch the product** — adding or removing
 //!   one costs O(1).
 //!
+//! Every CQ question asks in one order: rebuild the product if needed;
+//! answer "no fitting" if it is not a data example, or if some positive maps
+//! into some negative (the UCQ existence test — each projection
+//! `Π E⁺ → e⁺` is a homomorphism, so the product would map there too); only
+//! then search from the product, or from its core, into the negatives.  The
+//! refutation searches from the small positives instead of the product.
+//!
 //! Every fitting entry point takes an optional [`HomCache`]; with a cache,
 //! the per-negative hom checks and the core minimizations are served from
 //! the canonical-hash keyed store on repeat (across workspaces and
@@ -32,9 +39,9 @@
 //! product, and every fitting answer matches the batch answer up to query
 //! equivalence.
 
-use crate::{FitError, Result};
+use crate::{maps_into_some, FitError, Result};
 use cqfit_data::{Example, LabeledExamples, Schema};
-use cqfit_hom::{direct_product, hom_exists, product_of, HomCache};
+use cqfit_hom::{direct_product, product_of, HomCache};
 use cqfit_query::{Cq, Ucq};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -313,12 +320,24 @@ impl IncrementalFitting {
 
     /// Is there a homomorphism from `e` into some negative example?
     fn maps_into_some_negative(&self, e: &Example, cache: Option<&HomCache>) -> bool {
-        let pairs: Vec<(&Example, &Example)> =
-            self.negatives.values().map(|neg| (e, neg)).collect();
-        match cache {
-            Some(c) => c.any_hom_exists(&pairs),
-            None => pairs.iter().any(|&(s, d)| hom_exists(s, d)),
-        }
+        maps_into_some([e], self.negatives.values(), cache)
+    }
+
+    /// Does some positive map into some negative?  Then no CQ fits: each
+    /// projection `Π E⁺ → e⁺` is a homomorphism, so the product maps into
+    /// that negative too.  These are the UCQ existence test's pairs, so a
+    /// CQ question and a UCQ question share their cached verdicts.
+    fn positive_maps_into_negative(&self, cache: Option<&HomCache>) -> bool {
+        maps_into_some(self.positives.values(), self.negatives.values(), cache)
+    }
+
+    /// The maintained product, unless a cheap refutation already shows that
+    /// no CQ fits: the product is not a data example, or
+    /// [`Self::positive_maps_into_negative`].  Call
+    /// [`Self::ensure_product`] first.
+    fn unrefuted_product(&self, cache: Option<&HomCache>) -> Option<&Example> {
+        let product = self.product.as_ref().expect("product ensured");
+        (product.is_data_example() && !self.positive_maps_into_negative(cache)).then_some(product)
     }
 
     fn core_via(cache: Option<&HomCache>, e: &Example) -> Arc<Example> {
@@ -332,11 +351,9 @@ impl IncrementalFitting {
     /// of [`crate::cq::fitting_exists`].)
     pub fn cq_fitting_exists(&mut self, cache: Option<&HomCache>) -> Result<bool> {
         self.ensure_product()?;
-        let product = self.product.as_ref().expect("just ensured");
-        if !product.is_data_example() {
-            return Ok(false);
-        }
-        Ok(!self.maps_into_some_negative(product, cache))
+        Ok(self
+            .unrefuted_product(cache)
+            .is_some_and(|product| !self.maps_into_some_negative(product, cache)))
     }
 
     /// Constructs a fitting CQ — the canonical CQ of the maintained
@@ -345,10 +362,9 @@ impl IncrementalFitting {
     /// fitting.)
     pub fn cq_construct_fitting(&mut self, cache: Option<&HomCache>) -> Result<Option<Cq>> {
         self.ensure_product()?;
-        let product = self.product.as_ref().expect("just ensured");
-        if !product.is_data_example() {
+        let Some(product) = self.unrefuted_product(cache) else {
             return Ok(None);
-        }
+        };
         if self.maps_into_some_negative(product, cache) {
             return Ok(None);
         }
@@ -359,6 +375,10 @@ impl IncrementalFitting {
     /// minimized: the canonical CQ of the *core* of the maintained product
     /// (served from the cache on repeat).  Incremental counterpart of
     /// [`crate::cq::construct_fitting_minimized`].
+    ///
+    /// Unlike the batch path, every product that is a data example is cored
+    /// before the positive→negative refutation, so the number of core
+    /// lookups per question does not depend on the answer.
     pub fn cq_construct_fitting_minimized(
         &mut self,
         cache: Option<&HomCache>,
@@ -369,7 +389,7 @@ impl IncrementalFitting {
             return Ok(None);
         }
         let core = Self::core_via(cache, product);
-        if self.maps_into_some_negative(&core, cache) {
+        if self.positive_maps_into_negative(cache) || self.maps_into_some_negative(&core, cache) {
             return Ok(None);
         }
         Ok(Some(Cq::from_example(&core)?))
@@ -382,15 +402,7 @@ impl IncrementalFitting {
         if self.positives.is_empty() {
             return self.cq_fitting_exists(cache);
         }
-        let pairs: Vec<(&Example, &Example)> = self
-            .positives
-            .values()
-            .flat_map(|pos| self.negatives.values().map(move |neg| (pos, neg)))
-            .collect();
-        Ok(match cache {
-            Some(c) => !c.any_hom_exists(&pairs),
-            None => !pairs.iter().any(|&(s, d)| hom_exists(s, d)),
-        })
+        Ok(!self.positive_maps_into_negative(cache))
     }
 
     /// Constructs the most-specific fitting UCQ `⋃_{e ∈ E⁺} q_e` if a
@@ -532,6 +544,25 @@ mod tests {
             batch_min.len(),
             "same disjuncts survive pruning"
         );
+    }
+
+    /// A CQ question that a positive→negative pair refutes leaves exactly
+    /// the verdicts the UCQ existence question needs: the second question
+    /// searches nothing.
+    #[test]
+    fn cq_refutation_shares_verdicts_with_ucq_existence() {
+        let cache = HomCache::new();
+        let mut inc = IncrementalFitting::new(Schema::digraph(), 0);
+        inc.add_positive(ex("R(a,b)\nR(b,c)\nR(c,a)")).unwrap();
+        // A 6-cycle folds onto the 2-cycle negative.
+        inc.add_positive(ex("R(a,b)\nR(b,c)\nR(c,d)\nR(d,e)\nR(e,f)\nR(f,a)"))
+            .unwrap();
+        inc.add_negative(ex("R(a,b)\nR(b,a)")).unwrap();
+        assert!(inc.cq_construct_fitting(Some(&cache)).unwrap().is_none());
+        let misses = cache.stats().hom_misses;
+        assert_eq!(misses, 2, "only the two positive→negative pairs ran");
+        assert!(!inc.ucq_fitting_exists(Some(&cache)).unwrap());
+        assert_eq!(cache.stats().hom_misses, misses, "UCQ existence searched");
     }
 
     #[test]

@@ -35,8 +35,10 @@
 //! `HomDual`-equivalent expose *bounded-complete* procedures that take an
 //! explicit [`SearchBudget`] and return a three-valued
 //! [`Certainty`] (`Yes` / `No` / `Unknown`); `No` and `Yes` answers are always
-//! certified, `Unknown` means the budget ran out.  See `DESIGN.md` at the
-//! repository root for the full exactness table.
+//! certified.  `Unknown` means the procedure did not decide: the budget ran
+//! out, or it has no route to a certified answer (a greedy generalization
+//! chain that gets stuck, a duality check outside its exhaustive fragment).
+//! See `DESIGN.md` at the repository root for the full exactness table.
 //!
 //! ## Quick start
 //!
@@ -66,6 +68,38 @@ pub mod ucq;
 
 pub use cqfit_duality::{Certainty, DualityConfig};
 pub use error::FitError;
+
+use cqfit_data::Example;
+use cqfit_hom::{hom_exists, HomCache};
+
+/// Does some source map homomorphically into some target?  The
+/// `|sources| × |targets|` checks run source by source and stop at the first
+/// homomorphism.  With a cache, every verdict is served from (or stored in)
+/// its content-keyed entry, so the CQ and UCQ questions about one collection
+/// share their positive→negative verdicts.
+///
+/// Asked of `E⁺ × E⁻` it is the UCQ existence test (Proposition 4.2), and
+/// every CQ question asks it before searching from `Π E⁺`: each projection
+/// `Π E⁺ → e⁺` is a homomorphism, so a positive that maps into a negative
+/// takes the product with it and no CQ fits (Theorem 3.3).
+pub(crate) fn maps_into_some<'a, T>(
+    sources: impl IntoIterator<Item = &'a Example>,
+    targets: T,
+    cache: Option<&HomCache>,
+) -> bool
+where
+    T: IntoIterator<Item = &'a Example>,
+    T::IntoIter: Clone,
+{
+    let targets = targets.into_iter();
+    let mut pairs = sources
+        .into_iter()
+        .flat_map(|s| targets.clone().map(move |t| (s, t)));
+    match cache {
+        Some(c) => c.any_hom_exists(&pairs.collect::<Vec<_>>()),
+        None => pairs.any(|(s, t)| hom_exists(s, t)),
+    }
+}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, FitError>;

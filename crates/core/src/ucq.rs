@@ -16,10 +16,9 @@
 //! The duality checks are three-valued (`HomDual` is NP-hard with open exact
 //! complexity, Theorem 4.8); everything else is exact.
 
-use crate::{Certainty, FitError, Result, SearchBudget};
+use crate::{maps_into_some, Certainty, FitError, Result, SearchBudget};
 use cqfit_data::{Example, LabeledExamples};
 use cqfit_duality::check_hom_duality;
-use cqfit_hom::hom_exists;
 use cqfit_query::Ucq;
 
 /// Does the UCQ fit the examples?  (Verification problem, Theorem 4.6(3).)
@@ -46,10 +45,11 @@ pub fn fitting_exists(examples: &LabeledExamples) -> Result<bool> {
     if examples.positives().is_empty() {
         return crate::cq::fitting_exists(examples);
     }
-    Ok(!examples
-        .positives()
-        .iter()
-        .any(|pos| examples.negatives().iter().any(|neg| hom_exists(pos, neg))))
+    Ok(!maps_into_some(
+        examples.positives(),
+        examples.negatives(),
+        None,
+    ))
 }
 
 /// Constructs the most-specific fitting UCQ `⋃_{e ∈ E⁺} q_e` if a fitting UCQ

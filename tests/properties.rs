@@ -352,6 +352,80 @@ fn most_specific_is_minimum() {
     }
 }
 
+/// Seeded collections in [`cq_fitting_agrees_with_the_product_definition`]:
+/// 160 are refuted by a positive→negative pair, 31 have a fitting CQ, and
+/// one is left for the product search to refute.
+const CQ_SEEDS: u64 = 192;
+
+/// Theorem 3.3 is the oracle for every CQ existence and construction entry
+/// point, batch and incremental: a CQ fits iff `Π E⁺` is a data example that
+/// maps into no negative.  The oracle asks exactly that, so it cannot share a
+/// wrong positive→negative refutation with the code it checks; the
+/// projection argument behind that refutation is asserted on its own.
+#[test]
+fn cq_fitting_agrees_with_the_product_definition() {
+    use cqfit::incremental::IncrementalFitting;
+    use cqfit_gen::{random_labeled_examples, RandomConfig};
+    use cqfit_hom::{product_of, HomCache};
+    let schema = Schema::digraph();
+    let cache = HomCache::new();
+    let (mut refuted, mut fitting, mut product_refuted) = (0usize, 0usize, 0usize);
+    for seed in 0..CQ_SEEDS {
+        let arity = (seed % 2) as usize;
+        let cfg = RandomConfig {
+            num_values: 5,
+            density: 0.25,
+            arity,
+            num_positive: 1 + (seed / 2 % 3) as usize,
+            num_negative: 1 + (seed / 6 % 6) as usize,
+            seed,
+        };
+        let examples = random_labeled_examples(&schema, &cfg);
+        let ctx = format!("seed {seed}");
+        let product = product_of(&schema, arity, examples.positives()).unwrap();
+        let fits = product.is_data_example()
+            && !examples.negatives().iter().any(|n| hom_exists(&product, n));
+        let mut pair_refuted = false;
+        for p in examples.positives() {
+            for n in examples.negatives() {
+                if hom_exists(p, n) {
+                    pair_refuted = true;
+                    assert!(hom_exists(&product, n), "{ctx}: Π E⁺ → e⁺ → e⁻");
+                }
+            }
+        }
+        refuted += usize::from(pair_refuted);
+        product_refuted += usize::from(!pair_refuted && !fits);
+        fitting += usize::from(fits);
+        assert_eq!(cqfit::cq::fitting_exists(&examples).unwrap(), fits, "{ctx}");
+        let plain = cqfit::cq::construct_fitting(&examples).unwrap();
+        assert_eq!(plain.is_some(), fits, "{ctx}: construct_fitting");
+        let minimized = cqfit::cq::construct_fitting_minimized(&examples).unwrap();
+        assert_eq!(minimized.is_some(), fits, "{ctx}: minimized");
+        for cache in [None, Some(&cache)] {
+            let mut inc = IncrementalFitting::new(schema.clone(), arity);
+            for e in examples.positives() {
+                inc.add_positive(e.clone()).unwrap();
+            }
+            for e in examples.negatives() {
+                inc.add_negative(e.clone()).unwrap();
+            }
+            let ctx = format!("{ctx}, incremental, cached: {}", cache.is_some());
+            assert_eq!(inc.cq_fitting_exists(cache).unwrap(), fits, "{ctx}");
+            let plain = inc.cq_construct_fitting(cache).unwrap();
+            assert_eq!(plain.is_some(), fits, "{ctx}: construct");
+            let minimized = inc.cq_construct_fitting_minimized(cache).unwrap();
+            assert_eq!(minimized.is_some(), fits, "{ctx}: minimized");
+        }
+    }
+    assert!(refuted > 0, "no collection had a positive→negative pair");
+    assert!(fitting > 0, "no collection had a fitting CQ");
+    assert!(
+        product_refuted > 0,
+        "no collection was left for the product search to refute"
+    );
+}
+
 /// The tree CQ reduction produces equivalent, no-larger queries (checked on a
 /// deterministic sample of random tree CQs).
 #[test]
