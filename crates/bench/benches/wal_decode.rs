@@ -8,14 +8,15 @@
 //! for [`RATIO_ROUNDS`] rounds, so drift of the machine touches both, and
 //! one line reports the ratio of their minima,
 //! `wal_decode/decode_vs_tree ratio_of_minima=<x>` (below 1 means decoding
-//! beats building the tree).  `wal_encode` encodes its records (appends),
+//! beats building the tree).  `crc32/cold_log` is the checksum alone over
+//! the same lines.  `wal_encode` encodes its records (appends),
 //! plus the wire line of a `durable_ingest`-shaped `add_example` request
 //! with its `request_id` and `trace` metadata.
 
 use cqfit_data::Schema;
 use cqfit_engine::{ExamplePayload, Polarity, Request};
 use cqfit_gen::{churn_workload, random_example, resolve_churn, RandomConfig, ResolvedChurnOp};
-use cqfit_obs::TraceContext;
+use cqfit_obs::{crc32, TraceContext};
 use cqfit_store::record::{decode_record, encode_record};
 use cqfit_store::LogRecord;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -102,6 +103,22 @@ fn bench_wal_decode(c: &mut Criterion) {
     });
     group.finish();
     decode_vs_tree(&lines);
+
+    // The checksum alone, line by line as replay checks it.
+    let mut group = c.benchmark_group("crc32");
+    group
+        .sample_size(40)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(300))
+        .throughput(Throughput::Bytes(log.len() as u64));
+    group.bench_function("cold_log", |b| {
+        b.iter(|| {
+            for line in &lines {
+                black_box(crc32(black_box(line)));
+            }
+        })
+    });
+    group.finish();
 }
 
 /// Times `decode_record` and `Value::parse` over the same lines in

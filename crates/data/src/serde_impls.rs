@@ -10,7 +10,9 @@
 //! the same checks as programmatic building (those of
 //! [`Instance::add_fact`], [`Example::new`], [`LabeledExamples::new`]), so
 //! a deserialized object is always internally consistent.  A decoded
-//! instance builds its fact index on first use.
+//! instance builds its fact index on first use, and instances decoded one
+//! after another on a thread share one `Arc<Schema>` while their schemas
+//! are equal.
 //!
 //! Shapes:
 //!
@@ -27,6 +29,7 @@
 use crate::{Example, Fact, Instance, LabeledExamples, Relation, Schema, Value};
 use serde::json::{self, JsonError};
 use serde::{Deserialize, Serialize, Source};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 impl Serialize for Value {
@@ -74,6 +77,53 @@ impl Deserialize for Schema {
     }
 }
 
+thread_local! {
+    /// The schema of the last instance this thread decoded.  The examples
+    /// of one run (a log replay, a stream of requests) almost always share
+    /// one schema, so [`shared_schema`] hands that `Arc` out again
+    /// instead of building an equal schema (a `Vec`, a `HashMap` and a
+    /// name per relation) for every example.  Only a schema that decoded
+    /// without error is kept.
+    static LAST_SCHEMA: RefCell<Option<Arc<Schema>>> = const { RefCell::new(None) };
+}
+
+/// Decodes the schema `v` holds, sharing this thread's last decoded
+/// schema when `v` holds exactly its relations.  A shared schema is the
+/// one decoding would give (the same relations, which passed
+/// [`Schema::new`]'s checks when it was kept); any other input, invalid
+/// ones included, is decoded as [`Schema::deserialize`] decodes it.
+fn shared_schema<'de, S: Source<'de>>(mut v: S) -> Result<Arc<Schema>, JsonError> {
+    let last = LAST_SCHEMA.with_borrow(|last| last.clone());
+    if let Some(last) = last.filter(|last| holds_relations(&mut v, last)) {
+        return Ok(last);
+    }
+    let schema = Arc::new(Schema::deserialize(v)?);
+    LAST_SCHEMA.set(Some(Arc::clone(&schema)));
+    Ok(schema)
+}
+
+/// Whether the schema object `v` lists exactly `schema`'s relations, in
+/// order: as many of them, each with the same name and an integer arity
+/// equal to its own.  Reads names borrowed; builds nothing.
+fn holds_relations<'de, S: Source<'de>>(v: &mut S, schema: &Schema) -> bool {
+    let Some(mut listed) = v.get("relations").and_then(|mut r| r.as_arr()) else {
+        return false;
+    };
+    let same = |mut r: S, known: &Relation| {
+        r.get("name")
+            .and_then(|mut name| name.as_str())
+            .is_some_and(|name| name == known.name.as_str())
+            && r.get("arity")
+                .and_then(|mut arity| arity.as_i64())
+                .is_some_and(|arity| usize::try_from(arity) == Ok(known.arity))
+    };
+    schema
+        .relations()
+        .iter()
+        .all(|known| listed.next().is_some_and(|r| same(r, known)))
+        && listed.next().is_none()
+}
+
 impl Serialize for Instance {
     fn serialize(&self, out: &mut String) {
         json::write_object(out, |o| {
@@ -91,14 +141,14 @@ impl Serialize for Instance {
 
 impl Deserialize for Instance {
     fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
-        let schema = Arc::new(Schema::deserialize(v.req("schema")?)?);
+        let schema = shared_schema(v.req("schema")?)?;
         let labels = Vec::<String>::deserialize(v.req("labels")?)?;
         let mut rows = v.req("facts")?;
-        let mut facts = Vec::new();
-        for mut fact in rows
+        let rows = rows
             .as_arr()
-            .ok_or_else(|| JsonError::mismatch("array", &rows))?
-        {
+            .ok_or_else(|| JsonError::mismatch("array", &rows))?;
+        let mut facts = Vec::with_capacity(rows.size_hint().0);
+        for mut fact in rows {
             let mut row = fact
                 .as_arr()
                 .ok_or_else(|| JsonError::mismatch("fact array", &fact))?;
@@ -236,6 +286,95 @@ mod tests {
         assert_eq!(back.positives().len(), 1);
         assert_eq!(back.negatives().len(), 1);
         assert_eq!(back.arity(), Some(1));
+    }
+
+    /// An instance whose schema lists `relations` (JSON text), with no
+    /// values and no facts.
+    fn instance_text(relations: &str) -> String {
+        format!(r#"{{"schema":{{"relations":[{relations}]}},"labels":[],"facts":[]}}"#)
+    }
+
+    type Decoder = fn(&str) -> Result<Instance, JsonError>;
+
+    /// Both decoders: straight from the text, and through a tree.
+    fn decoders() -> [Decoder; 2] {
+        [serde::json::decode::<Instance>, serde::from_str::<Instance>]
+    }
+
+    #[test]
+    fn equal_schemas_share_one_arc() {
+        for decode in decoders() {
+            let text = instance_text(r#"{"name":"R","arity":2},{"name":"P","arity":1}"#);
+            let a = decode(&text).unwrap();
+            let b = decode(&text.replace(r#""R""#, r#""\u0052""#)).unwrap();
+            assert!(Arc::ptr_eq(a.schema(), b.schema()));
+            assert_eq!(**a.schema(), Schema::new([("R", 2), ("P", 1)]).unwrap());
+        }
+    }
+
+    #[test]
+    fn a_different_schema_gets_its_own_arc() {
+        let base = r#"{"name":"R","arity":2},{"name":"P","arity":1}"#;
+        for decode in decoders() {
+            for (other, expected) in [
+                (
+                    r#"{"name":"S","arity":2},{"name":"P","arity":1}"#,
+                    [("S", 2), ("P", 1)].as_slice(),
+                ),
+                (
+                    r#"{"name":"R","arity":3},{"name":"P","arity":1}"#,
+                    &[("R", 3), ("P", 1)],
+                ),
+                (r#"{"name":"R","arity":2}"#, &[("R", 2)]),
+                (
+                    r#"{"name":"R","arity":2},{"name":"P","arity":1},{"name":"Q","arity":1}"#,
+                    &[("R", 2), ("P", 1), ("Q", 1)],
+                ),
+                (
+                    r#"{"name":"R","arity":"2"},{"name":"P","arity":1}"#,
+                    &[("R", 2), ("P", 1)],
+                ),
+            ] {
+                let first = decode(&instance_text(base)).unwrap();
+                let second = decode(&instance_text(other)).unwrap();
+                assert!(!Arc::ptr_eq(first.schema(), second.schema()), "{other}");
+                assert_eq!(
+                    **second.schema(),
+                    Schema::new(expected.iter().copied()).unwrap()
+                );
+            }
+        }
+    }
+
+    /// An invalid schema fails as it would on a thread that never
+    /// decoded one, however close it is to the schema kept.
+    #[test]
+    fn invalid_schemas_fail_the_same_after_a_valid_one() {
+        let valid = instance_text(r#"{"name":"R","arity":2}"#);
+        let invalid = [
+            instance_text(r#"{"name":"R","arity":2},{"name":"R","arity":2}"#),
+            instance_text(r#"{"name":"R","arity":0}"#),
+            instance_text(r#"{"name":"R","arity":2},{"name":"P","arity":0}"#),
+            instance_text(r#"{"name":7,"arity":2}"#),
+            instance_text(r#"{"arity":2}"#),
+            instance_text(r#"{"name":"R","arity":-2}"#),
+            instance_text(r#"{"name":"R","arity":2.0}"#),
+            instance_text(r#""R""#),
+            r#"{"schema":{"relations":{}},"labels":[],"facts":[]}"#.to_string(),
+            r#"{"schema":[],"labels":[],"facts":[]}"#.to_string(),
+        ];
+        for (d, decode) in decoders().into_iter().enumerate() {
+            for text in &invalid {
+                let fresh = std::thread::spawn({
+                    let text = text.clone();
+                    move || decoders()[d](&text).unwrap_err().to_string()
+                })
+                .join()
+                .unwrap();
+                decode(&valid).unwrap();
+                assert_eq!(decode(text).unwrap_err().to_string(), fresh, "{text}");
+            }
+        }
     }
 
     #[test]

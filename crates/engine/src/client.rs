@@ -21,7 +21,6 @@
 use crate::protocol::{Request, Response};
 use cqfit_env::{Env, NetConn, RealEnv};
 use cqfit_obs::{OpenSpan, Registry, TraceContext, Tracer};
-use serde::Deserialize;
 use std::io::{self, ErrorKind};
 use std::sync::Arc;
 use std::time::Duration;
@@ -490,7 +489,7 @@ impl Client {
     }
 
     fn parse_response(line: &str) -> io::Result<Response> {
-        match serde::json::Value::parse(line).and_then(|v| Response::from_json(&v)) {
+        match serde::json::decode::<Response>(line) {
             Ok(response) => Ok(response),
             Err(e) => Err(io::Error::new(
                 ErrorKind::InvalidData,

@@ -209,15 +209,15 @@ impl Request {
     /// Extracts the optional idempotency key from a parsed request
     /// object.  Absent or malformed keys read as `None` (the request is
     /// then handled without retry protection, exactly as before PR 7).
-    pub fn request_id_of(v: &Json) -> Option<u64> {
-        v.get("request_id").and_then(|id| u64::from_json(id).ok())
+    pub fn request_id_of(mut v: &Json) -> Option<u64> {
+        request_id_in(&mut v)
     }
 
     /// Extracts the optional trace context from a parsed request object.
     /// Absent or malformed contexts read as `None` (the server then
     /// roots a fresh trace for the request).
-    pub fn trace_of(v: &Json) -> Option<TraceContext> {
-        v.get("trace").and_then(|t| TraceContext::from_json(t).ok())
+    pub fn trace_of(mut v: &Json) -> Option<TraceContext> {
+        trace_in(&mut v)
     }
 
     /// The wire name of this request's operation (the `"op"` field of
@@ -895,9 +895,48 @@ impl Serialize for Request {
 
 impl Deserialize for Request {
     fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
-        let op = String::take(&mut v, "op")?;
-        Request::decode_row(&op, &mut v)?
-            .ok_or_else(|| JsonError::semantic(format!("unknown op `{op}`")))
+        request_in(&mut v)
+    }
+}
+
+/// Reads the request a request object holds.
+fn request_in<'de, S: Source<'de>>(v: &mut S) -> Result<Request, JsonError> {
+    let op = v.req_str("op")?;
+    Request::decode_row(&op, v)?.ok_or_else(|| JsonError::semantic(format!("unknown op `{op}`")))
+}
+
+/// The idempotency key of a request object; `None` when absent or
+/// malformed.
+fn request_id_in<'de, S: Source<'de>>(v: &mut S) -> Option<u64> {
+    v.get("request_id").and_then(|id| u64::deserialize(id).ok())
+}
+
+/// The trace context of a request object; `None` when absent or
+/// malformed.
+fn trace_in<'de, S: Source<'de>>(v: &mut S) -> Option<TraceContext> {
+    v.get("trace")
+        .and_then(|t| TraceContext::deserialize(t).ok())
+}
+
+/// A request line as the server reads it: the request with its
+/// protocol metadata, decoded in one pass over the line's text with
+/// `serde::json::decode::<Envelope>`.  It fails exactly as decoding the
+/// [`Request`] alone fails; metadata reads as [`Request::request_id_of`]
+/// and [`Request::trace_of`] read it.
+#[derive(Debug)]
+pub(crate) struct Envelope {
+    pub(crate) request: Request,
+    pub(crate) request_id: Option<u64>,
+    pub(crate) trace: Option<TraceContext>,
+}
+
+impl Deserialize for Envelope {
+    fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
+        Ok(Envelope {
+            request: request_in(&mut v)?,
+            request_id: request_id_in(&mut v),
+            trace: trace_in(&mut v),
+        })
     }
 }
 
@@ -929,7 +968,7 @@ impl Deserialize for Response {
                 col: v.get("col").map(usize::deserialize).transpose()?,
             });
         }
-        let kind = String::take(&mut v, "kind")?;
+        let kind = v.req_str("kind")?;
         Response::decode_row(&kind, &mut v)?
             .ok_or_else(|| JsonError::semantic(format!("unknown response kind `{kind}`")))
     }
@@ -1050,6 +1089,51 @@ mod tests {
         let mangled =
             serde::json::Value::parse(&wire.replace("\"trace\":", "\"trace_\":")).unwrap();
         assert_eq!(Request::trace_of(&mangled), None);
+    }
+
+    /// The server's one-pass envelope reads what the tree path reads:
+    /// the same request and metadata, or the same error.
+    #[test]
+    fn envelope_reads_what_the_tree_reads() {
+        let req = Request::AddExample {
+            workspace: "w".into(),
+            polarity: Polarity::Positive,
+            example: ExamplePayload::Text("R(a,b)".into()),
+        };
+        let ctx = TraceContext {
+            trace_id: (7u128 << 64) | 9,
+            span_id: 0xABCD,
+            parent_span_id: 0x1234,
+        };
+        let traced = req.to_json_with_meta(42, Some(&ctx)).to_string();
+        let lines = [
+            traced.clone(),
+            serde::to_string(&req),
+            traced.replace("\"request_id\":42", "\"request_id\":-1"),
+            traced.replace("\"request_id\":42", "\"request_id\":\"x\""),
+            traced.replace("\"span_id\":\"", "\"span_id\":\"zz"),
+            traced
+                .replace("\"trace\":{", "\"trace\":[{")
+                .replace("}}", "}]}"),
+            r#"{"op":"ping","request_id":"7"}"#.to_string(),
+            r#"{"op":"nope","request_id":1}"#.to_string(),
+            r#"{"op":"fit","workspace":"w","class":"cq"}"#.to_string(),
+            r#"{"op":7}"#.to_string(),
+            r#"{"op":"ping""#.to_string(),
+            "[]".to_string(),
+        ];
+        for line in &lines {
+            let tree = serde::json::Value::parse(line).and_then(|v| {
+                Ok((
+                    serde::to_string(&Request::from_json(&v)?),
+                    Request::request_id_of(&v),
+                    Request::trace_of(&v),
+                ))
+            });
+            let envelope = serde::json::decode::<Envelope>(line)
+                .map(|e| (serde::to_string(&e.request), e.request_id, e.trace));
+            assert_eq!(envelope, tree, "{line}");
+        }
     }
 
     #[test]

@@ -34,10 +34,10 @@
 //! networks.
 
 use crate::engine::Engine;
-use crate::protocol::{Request, Response};
+use crate::protocol::{Envelope, Request, Response};
 use cqfit_env::{Clock, Env, NetConn, NetListener};
 use cqfit_obs::TraceContext;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::io::{self, ErrorKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -433,31 +433,31 @@ fn serve_connection(
             if line.trim().is_empty() {
                 continue;
             }
-            match serde::json::Value::parse(line) {
+            match serde::json::decode::<Envelope>(line) {
                 Err(e) => slots.push(Slot::Done(Response::from_json_error(&e))),
-                Ok(v) => match Request::from_json(&v) {
-                    Err(e) => slots.push(Slot::Done(Response::from_json_error(&e))),
-                    Ok(request) => {
-                        let request_id = Request::request_id_of(&v);
-                        if matches!(request, Request::Shutdown) {
-                            // Shutdown ends the connection once answered;
-                            // anything pipelined behind it is discarded,
-                            // exactly as it was before batching (the
-                            // connection closed before reading it).
-                            shutdown_req = Some((request, request_id));
-                            break;
-                        }
-                        // A request carrying a trace context joins the
-                        // client's trace; one without roots a fresh trace
-                        // here, so server-side spans exist either way.
-                        let ctx = match Request::trace_of(&v) {
-                            Some(parent) => tracer.child_context(&parent),
-                            None => tracer.root_context(),
-                        };
-                        slots.push(Slot::Pending(batch.len()));
-                        batch.push((request, request_id, ctx));
+                Ok(Envelope {
+                    request,
+                    request_id,
+                    trace,
+                }) => {
+                    if matches!(request, Request::Shutdown) {
+                        // Shutdown ends the connection once answered;
+                        // anything pipelined behind it is discarded,
+                        // exactly as it was before batching (the
+                        // connection closed before reading it).
+                        shutdown_req = Some((request, request_id));
+                        break;
                     }
-                },
+                    // A request carrying a trace context joins the
+                    // client's trace; one without roots a fresh trace
+                    // here, so server-side spans exist either way.
+                    let ctx = match trace {
+                        Some(parent) => tracer.child_context(&parent),
+                        None => tracer.root_context(),
+                    };
+                    slots.push(Slot::Pending(batch.len()));
+                    batch.push((request, request_id, ctx));
+                }
             }
         }
         // Dispatch: every request of the window runs in order on this

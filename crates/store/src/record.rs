@@ -13,6 +13,13 @@
 //! anything; it then decodes the body straight from the text, with no
 //! JSON tree and no second serialization.
 //!
+//! A restart pays this path for every byte of every log, so it is kept
+//! cheap per byte: the checksum ([`crc32`]) folds eight bytes per step,
+//! the `op` and `polarity` tags are read borrowed from the text, and the
+//! examples of a log share one `Arc<Schema>` (an instance decoded with
+//! the schema of the last one its thread decoded reuses that schema; see
+//! `cqfit_data`'s serde impls).
+//!
 //! A line that is not newline-terminated, is not framed this way, or
 //! fails its checksum is the torn tail of the log: everything from that
 //! byte offset on is discarded (see the crate documentation on recovery).
@@ -215,21 +222,21 @@ impl Serialize for LogRecord {
 
 impl Deserialize for LogRecord {
     fn deserialize<'de, S: Source<'de>>(mut v: S) -> Result<Self, JsonError> {
-        let op = String::deserialize(v.req("op")?)?;
-        match op.as_str() {
+        let op = v.req_str("op")?;
+        match op.as_ref() {
             "create" => Ok(LogRecord::Create {
                 schema: Schema::deserialize(v.req("schema")?)?,
                 arity: usize::deserialize(v.req("arity")?)?,
             }),
             "add" => Ok(LogRecord::AddExample {
                 id: u64::deserialize(v.req("id")?)?,
-                positive: parse_polarity(&String::deserialize(v.req("polarity")?)?)?,
+                positive: parse_polarity(&v.req_str("polarity")?)?,
                 example: Example::deserialize(v.req("example")?)?,
                 request_id: v.get("request_id").map(u64::deserialize).transpose()?,
             }),
             "remove" => Ok(LogRecord::RemoveExample {
                 id: u64::deserialize(v.req("id")?)?,
-                positive: parse_polarity(&String::deserialize(v.req("polarity")?)?)?,
+                positive: parse_polarity(&v.req_str("polarity")?)?,
                 request_id: v.get("request_id").map(u64::deserialize).transpose()?,
             }),
             "snapshot" => Ok(LogRecord::Snapshot(snapshot_fields(&mut v)?)),
