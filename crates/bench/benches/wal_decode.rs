@@ -4,12 +4,15 @@
 //! most 2 positives and 3 negatives live), reported in MB/s of log text.
 //!
 //! `wal_decode` decodes the log's lines (replay).  Its yardstick is
-//! `Value::parse` of the same lines: the two loops are timed alternately
-//! for [`RATIO_ROUNDS`] rounds, so drift of the machine touches both, and
-//! one line reports the ratio of their minima,
-//! `wal_decode/decode_vs_tree ratio_of_minima=<x>` (below 1 means decoding
-//! beats building the tree).  `crc32/cold_log` is the checksum alone over
-//! the same lines.  `wal_encode` encodes its records (appends),
+//! `Value::parse` of the record bodies: `json::decode` and `Value::parse`
+//! over the same bodies are timed alternately for [`RATIO_ROUNDS`] rounds,
+//! so drift of the machine touches both, and one line reports the ratio of
+//! their minima, `wal_decode/decode_vs_tree ratio_of_minima=<x>` (below 1
+//! means decoding beats building the tree).  `decode_record` over the
+//! whole lines runs in the same rounds; what it spends beyond the body
+//! decode (frame split, CRC and UTF-8 check) prints on a line of its own,
+//! `wal_decode/frame_crc_utf8`.  `crc32/cold_log` is the checksum alone
+//! over the same lines.  `wal_encode` encodes its records (appends),
 //! plus the wire line of a `durable_ingest`-shaped `add_example` request
 //! with its `request_id` and `trace` metadata.
 
@@ -22,7 +25,7 @@ use cqfit_store::LogRecord;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::json::Value;
+use serde::json::{self, Value};
 use std::time::{Duration, Instant};
 
 const WORKSPACES: u64 = 64;
@@ -82,7 +85,8 @@ fn cold_log(records: &[LogRecord]) -> Vec<u8> {
 }
 
 fn bench_wal_decode(c: &mut Criterion) {
-    let log = cold_log(&cold_records(1));
+    let records = cold_records(1);
+    let log = cold_log(&records);
     let lines: Vec<&[u8]> = log
         .split(|&b| b == b'\n')
         .filter(|l| !l.is_empty())
@@ -102,7 +106,7 @@ fn bench_wal_decode(c: &mut Criterion) {
         })
     });
     group.finish();
-    decode_vs_tree(&lines);
+    decode_vs_tree(&records, &lines);
 
     // The checksum alone, line by line as replay checks it.
     let mut group = c.benchmark_group("crc32");
@@ -121,48 +125,58 @@ fn bench_wal_decode(c: &mut Criterion) {
     group.finish();
 }
 
-/// Times `decode_record` and `Value::parse` over the same lines in
-/// alternating rounds (each round switches which goes first) and prints
-/// the ratio of the two minima: `decode_record` should be no slower.
-fn decode_vs_tree(lines: &[&[u8]]) {
-    let texts: Vec<&str> = lines
-        .iter()
-        .map(|l| std::str::from_utf8(l).expect("the log is UTF-8"))
-        .collect();
+/// Times, in alternating rounds (each round rotates which goes first),
+/// `json::decode` and `Value::parse` over the same record bodies and
+/// `decode_record` over the whole lines.  Prints the ratio of the body
+/// minima — decoding should be no slower than building the tree — and,
+/// on a line of its own, the whole-line minimum's excess over the body
+/// decode: the frame split, the CRC and the UTF-8 check.
+fn decode_vs_tree(records: &[LogRecord], lines: &[&[u8]]) {
+    let bodies: Vec<String> = records.iter().map(serde::to_string).collect();
+    for (body, line) in bodies.iter().zip(lines) {
+        let framed = line
+            .strip_suffix(b"}")
+            .is_some_and(|l| l.ends_with(body.as_bytes()));
+        assert!(framed, "each line frames its record's body");
+    }
     let decode = || {
+        for body in &bodies {
+            black_box(json::decode::<LogRecord>(body).expect("intact body"));
+        }
+    };
+    let tree = || {
+        for body in &bodies {
+            black_box(Value::parse(body).expect("intact body"));
+        }
+    };
+    let whole = || {
         for line in lines {
             black_box(decode_record(line).expect("intact line"));
         }
     };
-    let tree = || {
-        for text in &texts {
-            black_box(Value::parse(text).expect("intact line"));
-        }
-    };
-    let timed = |f: &dyn Fn()| {
-        let begun = Instant::now();
-        f();
-        begun.elapsed()
-    };
-    let (mut decode_min, mut tree_min) = (Duration::MAX, Duration::MAX);
+    let loops: [&dyn Fn(); 3] = [&decode, &tree, &whole];
+    let mut minima = [Duration::MAX; 3];
     for round in 0..=RATIO_ROUNDS {
-        let (d, t) = if round % 2 == 0 {
-            (timed(&decode), timed(&tree))
-        } else {
-            let t = timed(&tree);
-            (timed(&decode), t)
-        };
-        // Round 0 warms both loops up.
-        if round > 0 {
-            decode_min = decode_min.min(d);
-            tree_min = tree_min.min(t);
+        for k in 0..3 {
+            let which = (round + k) % 3;
+            let begun = Instant::now();
+            loops[which]();
+            let spent = begun.elapsed();
+            // Round 0 warms the loops up.
+            if round > 0 {
+                minima[which] = minima[which].min(spent);
+            }
         }
     }
+    let [decode_min, tree_min, whole_min] = minima.map(|d| d.as_secs_f64() * 1e3);
     eprintln!(
-        "wal_decode/decode_vs_tree ratio_of_minima={:.3} decode_min_ms={:.3} tree_min_ms={:.3} rounds={RATIO_ROUNDS}",
-        decode_min.as_secs_f64() / tree_min.as_secs_f64(),
-        decode_min.as_secs_f64() * 1e3,
-        tree_min.as_secs_f64() * 1e3,
+        "wal_decode/decode_vs_tree ratio_of_minima={:.3} decode_min_ms={decode_min:.3} tree_min_ms={tree_min:.3} rounds={RATIO_ROUNDS}",
+        decode_min / tree_min,
+    );
+    eprintln!(
+        "wal_decode/frame_crc_utf8 min_ms={:.3} share_of_decode_record={:.3} decode_record_min_ms={whole_min:.3}",
+        whole_min - decode_min,
+        (whole_min - decode_min) / whole_min,
     );
 }
 

@@ -18,9 +18,9 @@
 //!   encoding.
 //! * **Label independent** — display labels are *excluded*: instances that
 //!   differ only in labels hash equal, because labels never influence
-//!   homomorphism answers.  Callers that cache label-carrying artifacts
-//!   (e.g. cores, whose labels surface in constructed queries) should mix
-//!   in [`CanonicalHasher::absorb_str`] of the labels themselves.
+//!   homomorphism answers.  A cache of label-carrying artifacts (cores,
+//!   whose labels surface in constructed queries) could not key by these
+//!   hashes alone.
 //! * **Process independent** — no randomized hasher state; equal inputs
 //!   hash equal across runs and across machines, so captures and
 //!   differential tests are reproducible.  No hash value is persisted.
@@ -37,10 +37,9 @@ use crate::{Example, Fact, Instance, Schema};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CanonicalHash(pub u128);
 
-/// Streaming hasher behind [`CanonicalHash`]; exposed so that callers can
-/// derive compound keys (e.g. hash-of-hashes, or structure plus labels).
+/// Streaming hasher behind [`CanonicalHash`].
 #[derive(Debug, Clone)]
-pub struct CanonicalHasher {
+pub(crate) struct CanonicalHasher {
     hi: u64,
     lo: u64,
 }
@@ -52,7 +51,7 @@ impl CanonicalHasher {
     const LO_MULT: u64 = 0xc4ce_b9fe_1a85_ec53;
 
     /// A fresh hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CanonicalHasher {
             hi: Self::HI_SEED,
             lo: Self::LO_SEED,
@@ -61,20 +60,20 @@ impl CanonicalHasher {
 
     /// Absorbs a `u64` into both lanes.  Each step is a bijection of the
     /// lane state, so two streams differing in a single word never meet.
-    pub fn absorb_u64(&mut self, v: u64) {
+    pub(crate) fn absorb_u64(&mut self, v: u64) {
         self.hi = (self.hi ^ v).wrapping_mul(Self::HI_MULT).rotate_left(31);
         self.lo = (self.lo ^ v).wrapping_mul(Self::LO_MULT).rotate_left(27);
     }
 
     /// Absorbs a `u32` (as one word).
-    pub fn absorb_u32(&mut self, v: u32) {
+    pub(crate) fn absorb_u32(&mut self, v: u32) {
         self.absorb_u64(u64::from(v));
     }
 
     /// Absorbs a length-prefixed string, eight bytes per word (the prefix
     /// makes concatenations and the zero padding of the last word
     /// unambiguous).
-    pub fn absorb_str(&mut self, s: &str) {
+    pub(crate) fn absorb_str(&mut self, s: &str) {
         self.absorb_u64(s.len() as u64);
         for chunk in s.as_bytes().chunks(8) {
             let mut word = [0u8; 8];
@@ -84,14 +83,14 @@ impl CanonicalHasher {
     }
 
     /// Absorbs another canonical hash (for compound keys).
-    pub fn absorb_hash(&mut self, h: CanonicalHash) {
+    pub(crate) fn absorb_hash(&mut self, h: CanonicalHash) {
         self.absorb_u64(h.0 as u64);
         self.absorb_u64((h.0 >> 64) as u64);
     }
 
     /// Finishes the hash: one avalanche round per lane (the murmur3 and
     /// splitmix64 finalizers), so short inputs still spread over all bits.
-    pub fn finish(&self) -> CanonicalHash {
+    pub(crate) fn finish(&self) -> CanonicalHash {
         let mut a = self.hi;
         a ^= a >> 33;
         a = a.wrapping_mul(Self::HI_MULT);
@@ -118,12 +117,6 @@ impl CanonicalHasher {
             h.absorb_u64(u64::from(pair[0].0) | second << 32);
         }
         h.finish()
-    }
-}
-
-impl Default for CanonicalHasher {
-    fn default() -> Self {
-        CanonicalHasher::new()
     }
 }
 

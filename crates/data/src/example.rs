@@ -56,14 +56,6 @@ impl Example {
         &self.instance
     }
 
-    /// Mutable access to the underlying instance.
-    ///
-    /// Note that removing facts may invalidate the data-example property;
-    /// callers should re-check with [`Example::is_data_example`] if needed.
-    pub fn instance_mut(&mut self) -> &mut Instance {
-        &mut self.instance
-    }
-
     /// Consumes the example, returning its parts.
     pub fn into_parts(self) -> (Instance, Vec<Value>) {
         (self.instance, self.distinguished)

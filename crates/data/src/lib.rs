@@ -35,7 +35,7 @@ mod parse;
 mod schema;
 mod serde_impls;
 
-pub use canonical::{CanonicalHash, CanonicalHasher};
+pub use canonical::CanonicalHash;
 pub use error::DataError;
 pub use example::Example;
 pub use instance::{Fact, FactId, Instance, Value};

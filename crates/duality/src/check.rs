@@ -71,16 +71,6 @@ impl DualityOutcome {
             reason: reason.into(),
         }
     }
-
-    /// True if the verdict is [`Certainty::Yes`].
-    pub fn is_yes(&self) -> bool {
-        self.certainty == Certainty::Yes
-    }
-
-    /// True if the verdict is [`Certainty::No`].
-    pub fn is_no(&self) -> bool {
-        self.certainty == Certainty::No
-    }
 }
 
 /// Budget and strategy configuration for the duality checks.

@@ -13,7 +13,7 @@
 //! Connects (with retries, so it can be started right after the server),
 //! drives a fixed query-by-example session — create a workspace, add
 //! positive cycles and a negative 2-cycle, fit CQs and UCQs, exercise the
-//! parse-error path, read the cache statistics — and *validates* every
+//! parse-error path, read the engine statistics — and *validates* every
 //! response, exiting non-zero on the first unexpected answer.  CI uses it
 //! as the server smoke test.  With `--shutdown` the session ends by
 //! stopping the server.
@@ -29,7 +29,7 @@
 //! fitting — and that the server reports a non-trivial recovery.  CI runs
 //! it after `kill -9`-ing and restarting a durable server.
 //!
-//! `stats` prints an operator summary (requests, cache hit rate,
+//! `stats` prints an operator summary (requests, hom-cache hit rate,
 //! pipeline window, exactly-once memo occupancy, store records/bytes,
 //! per-workspace revisions) — the warm-up view after a recovery.
 //!
@@ -120,17 +120,14 @@ fn print_stats(stats: &EngineStats) {
         "memo occupancy   : {} ids across {} workspace rings",
         stats.memo_entries, stats.memo_workspaces
     );
-    match &stats.cache {
-        Some(c) => println!(
-            "cache hit rate   : {:.3} ({} hits, {} misses, {} hom + {} core entries)",
-            c.hit_rate(),
-            c.hom_hits + c.core_hits,
-            c.hom_misses + c.core_misses,
-            c.hom_entries,
-            c.core_entries
-        ),
-        None => println!("cache hit rate   : (caching disabled)"),
-    }
+    let c = &stats.cache;
+    println!(
+        "cache hit rate   : {:.3} ({} hits, {} misses, {} entries)",
+        c.hit_rate(),
+        c.hom_hits,
+        c.hom_misses,
+        c.hom_entries
+    );
     match &stats.store {
         Some(s) => println!(
             "store            : {} records, {} bytes across {} logs ({} compactions, {} bytes reclaimed)",

@@ -1,9 +1,10 @@
 //! The in-process fitting engine: a concurrent map of workspaces sharing
-//! one hom/core result cache, optionally backed by a durable store.
+//! one hom-existence cache, optionally backed by a durable store.
 
-use crate::protocol::{EngineStats, ExamplePayload, Polarity, Request, Response};
+use crate::protocol::{
+    EngineStats, ExamplePayload, FitMode, FitQuery, Polarity, QueryClass, Request, Response,
+};
 use crate::server::PIPELINE_WINDOW;
-use crate::workspace::Workspace;
 use cqfit::incremental::IncrementalFitting;
 use cqfit_data::parse_example;
 use cqfit_env::{Env, RealEnv};
@@ -35,8 +36,8 @@ pub struct EngineConfig {}
 ///   different workspaces run fully in parallel while requests against
 ///   one workspace serialize (each sees a consistent revision),
 /// * hom/core computations run on the thread handling the request, and
-///   their results land in the shared [`HomCache`], where *every*
-///   workspace and connection can hit them.
+///   their hom-existence answers land in the shared [`HomCache`], where
+///   *every* workspace and connection can hit them.
 ///
 /// The per-workspace lock is held across the fitting computation; that is
 /// deliberate — a fit pins the revision it answers for, and concurrent
@@ -51,7 +52,7 @@ pub struct EngineConfig {}
 /// unchanged and surfaces as an error response.
 pub struct Engine {
     workspaces: RwLock<HashMap<String, Arc<WorkspaceSlot>>>,
-    cache: Arc<HomCache>,
+    cache: HomCache,
     /// The unified metrics registry (PR 9).  Durable engines adopt the
     /// store's registry — mirroring the [`Env`] inheritance — so the
     /// whole stack's counters and histograms land in one place; the
@@ -69,7 +70,7 @@ pub struct Engine {
     store: Option<Arc<Store>>,
     recovery: RecoveryReport,
     /// The environment all effects route through: time for stats and fit
-    /// accounting, yield points for the deterministic scheduler.  Durable
+    /// latency, yield points for the deterministic scheduler.  Durable
     /// engines inherit the store's environment, so one [`Env`] covers the
     /// whole stack.
     env: Arc<dyn Env>,
@@ -77,19 +78,21 @@ pub struct Engine {
     started: Duration,
 }
 
-/// A workspace plus a lock-free mirror of its revision counter, refreshed
-/// after every request served under the workspace lock.  `stats()` reads
-/// the mirror, so a Stats request never blocks behind a long-running fit.
+/// A workspace — one evolving `(E⁺, E⁻)` collection with incrementally
+/// maintained product state — plus a lock-free mirror of its revision
+/// counter, refreshed after every request served under the workspace
+/// lock.  `stats()` reads the mirror, so a Stats request never blocks
+/// behind a long-running fit.
 struct WorkspaceSlot {
-    ws: Mutex<Workspace>,
+    state: Mutex<IncrementalFitting>,
     revision: AtomicU64,
 }
 
 impl WorkspaceSlot {
-    fn new(ws: Workspace) -> Arc<WorkspaceSlot> {
-        let revision = ws.state().revision();
+    fn new(state: IncrementalFitting) -> Arc<WorkspaceSlot> {
+        let revision = state.revision();
         Arc::new(WorkspaceSlot {
-            ws: Mutex::new(ws),
+            state: Mutex::new(state),
             revision: AtomicU64::new(revision),
         })
     }
@@ -197,7 +200,7 @@ impl Engine {
         let tracer = Arc::new(Tracer::new(env.clone(), registry.clone()));
         Engine {
             workspaces: RwLock::new(HashMap::new()),
-            cache: Arc::new(HomCache::with_registry(registry.clone())),
+            cache: HomCache::with_registry(registry.clone()),
             registry,
             tracer,
             memo: Mutex::new(IdempotencyMemo::default()),
@@ -278,10 +281,7 @@ impl Engine {
             .map_err(|e| {
                 StoreError::Corrupt(format!("workspace `{name}` cannot be restored: {e}"))
             })?;
-            map.insert(
-                name.clone(),
-                WorkspaceSlot::new(Workspace::from_state(name, state)),
-            );
+            map.insert(name, WorkspaceSlot::new(state));
         }
         // Adopt the store's registry — like the store's [`Env`], one
         // registry covers the whole durable stack, so WAL latencies and
@@ -290,7 +290,7 @@ impl Engine {
         let tracer = Arc::new(Tracer::new(env.clone(), registry.clone()));
         let engine = Engine {
             workspaces: RwLock::new(map),
-            cache: Arc::new(HomCache::with_registry(registry.clone())),
+            cache: HomCache::with_registry(registry.clone()),
             registry,
             tracer,
             memo: Mutex::new(memo),
@@ -305,11 +305,6 @@ impl Engine {
     /// The environment this engine runs against.
     pub fn env(&self) -> &Arc<dyn Env> {
         &self.env
-    }
-
-    /// The shared hom/core cache.
-    pub fn cache(&self) -> &Arc<HomCache> {
-        &self.cache
     }
 
     /// The unified metrics registry: shared with the store (durable
@@ -389,7 +384,7 @@ impl Engine {
             pipeline_window: PIPELINE_WINDOW,
             memo_workspaces,
             memo_entries,
-            cache: Some(self.cache.stats()),
+            cache: self.cache.stats(),
             store: self.store.as_ref().map(|s| s.stats()),
             revisions,
         }
@@ -403,19 +398,34 @@ impl Engine {
             .cloned()
     }
 
-    fn with_workspace(&self, name: &str, f: impl FnOnce(&mut Workspace) -> Response) -> Response {
+    fn with_workspace(
+        &self,
+        name: &str,
+        f: impl FnOnce(&mut IncrementalFitting) -> Response,
+    ) -> Response {
         match self.resolve(name) {
             Some(slot) => {
-                let mut ws = slot.ws.lock().expect("workspace");
-                let response = f(&mut ws);
+                let mut state = slot.state.lock().expect("workspace");
+                let response = f(&mut state);
                 // Refresh the lock-free revision mirror while still
                 // holding the workspace lock.
-                slot.revision
-                    .store(ws.state().revision(), Ordering::Release);
+                slot.revision.store(state.revision(), Ordering::Release);
                 response
             }
             None => Response::error(format!("unknown workspace `{name}`")),
         }
+    }
+
+    /// Runs one fitting computation and records its latency into
+    /// `engine_fit_ns` from two reads of the engine's clock; a failed
+    /// computation records nothing.
+    fn timed_fit<T>(&self, fit: impl FnOnce() -> cqfit::Result<T>) -> cqfit::Result<T> {
+        let clock = self.env.clock();
+        let begun = clock.monotonic();
+        let answer = fit()?;
+        let spent = clock.monotonic().saturating_sub(begun);
+        self.registry.engine_fit_ns.record(spent.as_nanos() as u64);
+        Ok(answer)
     }
 
     /// Handles one request.  Never panics on malformed input — every
@@ -566,11 +576,8 @@ impl Engine {
                 }
                 // Build the workspace before taking the write lock: no
                 // user-influenced code runs under the lock.
-                let slot = WorkspaceSlot::new(Workspace::new(
-                    workspace.clone(),
-                    Arc::new(schema.clone()),
-                    *arity,
-                ));
+                let slot =
+                    WorkspaceSlot::new(IncrementalFitting::new(Arc::new(schema.clone()), *arity));
                 let mut map = self.workspaces.write().expect("workspace map");
                 if map.contains_key(workspace) {
                     // Lost a duplicate-create race.  Only reachable on
@@ -647,35 +654,34 @@ impl Engine {
                 names.sort();
                 Response::Workspaces { names }
             }
-            Request::WorkspaceInfo { workspace } => self.with_workspace(workspace, |ws| {
-                let state = ws.state();
-                Response::Info {
-                    workspace: ws.name().to_string(),
+            Request::WorkspaceInfo { workspace } => {
+                self.with_workspace(workspace, |state| Response::Info {
+                    workspace: workspace.clone(),
                     positives: state.num_positives(),
                     negatives: state.num_negatives(),
                     arity: state.arity(),
                     revision: state.revision(),
                     product_fresh: state.product_is_fresh(),
-                }
-            }),
+                })
+            }
             Request::AddExample {
                 workspace,
                 polarity,
                 example,
-            } => self.with_workspace(workspace, |ws| {
+            } => self.with_workspace(workspace, |state| {
                 let example = match example {
                     ExamplePayload::Structured(e) => e.clone(),
-                    ExamplePayload::Text(text) => match parse_example(ws.state().schema(), text) {
+                    ExamplePayload::Text(text) => match parse_example(state.schema(), text) {
                         Ok(e) => e,
                         Err(e) => return Response::from_data_error(&e),
                     },
                 };
                 // Validate up front so the apply after the durable log
                 // write cannot fail (log order must be mutation order).
-                if let Err(e) = ws.state().validate_example(&example) {
+                if let Err(e) = state.validate_example(&example) {
                     return Response::error(e.to_string());
                 }
-                let id = ws.state().next_id();
+                let id = state.next_id();
                 let example = if let Some(store) = &self.store {
                     // The wire request id rides in the record so recovery
                     // can reseed the exactly-once memo: a crash between
@@ -690,9 +696,9 @@ impl Engine {
                         request_id,
                     };
                     if let Err(e) = store.append_traced(
-                        ws.name(),
+                        workspace,
                         &record,
-                        || Self::snapshot_of(ws.state()),
+                        || Self::snapshot_of(state),
                         trace.map(|ctx| (self.tracer.as_ref(), ctx)),
                     ) {
                         return Response::error(format!("example not added: {e}"));
@@ -705,8 +711,8 @@ impl Engine {
                     example
                 };
                 let added = match polarity {
-                    Polarity::Positive => ws.state_mut().add_positive(example),
-                    Polarity::Negative => ws.state_mut().add_negative(example),
+                    Polarity::Positive => state.add_positive(example),
+                    Polarity::Negative => state.add_negative(example),
                 };
                 match added {
                     Ok(id) => Response::ExampleAdded {
@@ -720,12 +726,12 @@ impl Engine {
                 workspace,
                 polarity,
                 id,
-            } => self.with_workspace(workspace, |ws| {
+            } => self.with_workspace(workspace, |state| {
                 let positive = matches!(polarity, Polarity::Positive);
                 let present = if positive {
-                    ws.state().has_positive(*id)
+                    state.has_positive(*id)
                 } else {
-                    ws.state().has_negative(*id)
+                    state.has_negative(*id)
                 };
                 // Only mutations are logged: removing an absent id is a
                 // no-op and must not grow the log.
@@ -737,9 +743,9 @@ impl Engine {
                             request_id,
                         };
                         if let Err(e) = store.append_traced(
-                            ws.name(),
+                            workspace,
                             &record,
-                            || Self::snapshot_of(ws.state()),
+                            || Self::snapshot_of(state),
                             trace.map(|ctx| (self.tracer.as_ref(), ctx)),
                         ) {
                             return Response::error(format!("example not removed: {e}"));
@@ -747,8 +753,8 @@ impl Engine {
                     }
                 }
                 let removed = match polarity {
-                    Polarity::Positive => ws.state_mut().remove_positive(*id),
-                    Polarity::Negative => ws.state_mut().remove_negative(*id),
+                    Polarity::Positive => state.remove_positive(*id),
+                    Polarity::Negative => state.remove_negative(*id),
                 };
                 Response::ExampleRemoved {
                     polarity: *polarity,
@@ -756,44 +762,52 @@ impl Engine {
                     removed,
                 }
             }),
-            Request::FittingExists { workspace, class } => self.with_workspace(workspace, |ws| {
-                // The fit-latency histogram is fed from the workspace's
-                // own `fit_nanos` accumulator rather than fresh clock
-                // reads, so instrumenting the path draws no extra clock
-                // ticks (memo hits record nothing — delta stays zero).
-                let before = ws.fit_nanos();
-                let response = match ws.fitting_exists(*class, &self.cache, self.env.clock()) {
-                    Ok(exists) => Response::Exists {
-                        class: *class,
-                        exists,
-                    },
-                    Err(e) => Response::error(e.to_string()),
-                };
-                let spent = ws.fit_nanos().saturating_sub(before);
-                if spent > 0 {
-                    self.registry.engine_fit_ns.record(spent);
-                }
-                response
-            }),
+            Request::FittingExists { workspace, class } => {
+                self.with_workspace(workspace, |state| {
+                    let cache = Some(&self.cache);
+                    let exists = self.timed_fit(|| match class {
+                        QueryClass::Cq => state.cq_fitting_exists(cache),
+                        QueryClass::Ucq => state.ucq_fitting_exists(cache),
+                    });
+                    match exists {
+                        Ok(exists) => Response::Exists {
+                            class: *class,
+                            exists,
+                        },
+                        Err(e) => Response::error(e.to_string()),
+                    }
+                })
+            }
             Request::Fit {
                 workspace,
                 class,
                 mode,
-            } => self.with_workspace(workspace, |ws| {
-                let before = ws.fit_nanos();
-                let response = match ws.fit(*class, *mode, &self.cache, self.env.clock()) {
+            } => self.with_workspace(workspace, |state| {
+                let cache = Some(&self.cache);
+                let query = self.timed_fit(|| {
+                    Ok(match (class, mode) {
+                        (QueryClass::Cq, FitMode::Plain) => {
+                            state.cq_construct_fitting(cache)?.map(FitQuery::Cq)
+                        }
+                        (QueryClass::Cq, FitMode::Minimized) => state
+                            .cq_construct_fitting_minimized(cache)?
+                            .map(FitQuery::Cq),
+                        (QueryClass::Ucq, FitMode::Plain) => {
+                            state.ucq_most_specific_fitting(cache)?.map(FitQuery::Ucq)
+                        }
+                        (QueryClass::Ucq, FitMode::Minimized) => state
+                            .ucq_most_specific_fitting_minimized(cache)?
+                            .map(FitQuery::Ucq),
+                    })
+                });
+                match query {
                     Ok(query) => Response::Fitting {
                         class: *class,
                         mode: *mode,
                         query,
                     },
                     Err(e) => Response::error(e.to_string()),
-                };
-                let spent = ws.fit_nanos().saturating_sub(before);
-                if spent > 0 {
-                    self.registry.engine_fit_ns.record(spent);
                 }
-                response
             }),
             Request::Stats => Response::Stats(self.stats()),
             Request::Metrics => Response::Metrics(self.registry.snapshot()),
@@ -809,8 +823,8 @@ impl Engine {
                         .collect();
                     let (mut before, mut after, mut compacted) = (0u64, 0u64, 0usize);
                     for (name, slot) in &workspaces {
-                        let ws = slot.ws.lock().expect("workspace");
-                        match store.compact(name, Self::snapshot_of(ws.state())) {
+                        let state = slot.state.lock().expect("workspace");
+                        match store.compact(name, Self::snapshot_of(&state)) {
                             Ok(Some((b, a))) => {
                                 before += b;
                                 after += a;
@@ -992,34 +1006,44 @@ mod tests {
         }
     }
 
+    /// Every question is computed afresh: asking it twice at one revision
+    /// gives the wire text a fresh engine fed the same mutations gives,
+    /// and each question records exactly one fit-latency sample.
     #[test]
-    fn memo_serves_unchanged_workspace() {
-        let engine = Engine::default();
-        create(&engine, "w");
-        add_text(&engine, "w", Polarity::Positive, "R(a,b)\nR(b,c)\nR(c,a)");
-        let fit = Request::Fit {
-            workspace: "w".into(),
-            class: QueryClass::Cq,
-            mode: FitMode::Minimized,
+    fn repeated_questions_recompute_the_fresh_engines_answers() {
+        let fed = || {
+            let engine = Engine::default();
+            create(&engine, "w");
+            add_text(&engine, "w", Polarity::Positive, "R(a,b)\nR(b,c)\nR(c,a)");
+            let c9 = "R(a,b)\nR(b,c)\nR(c,d)\nR(d,e)\nR(e,f)\nR(f,g)\nR(g,h)\nR(h,i)\nR(i,a)";
+            add_text(&engine, "w", Polarity::Positive, c9);
+            add_text(&engine, "w", Polarity::Negative, "R(a,b)\nR(b,a)");
+            engine
         };
-        let first = engine.handle(&fit);
-        let cache_after_first = engine.cache().stats();
-        let second = engine.handle(&fit);
-        let cache_after_second = engine.cache().stats();
-        assert_eq!(
-            cache_after_first.core_misses, cache_after_second.core_misses,
-            "memo answered without recomputing"
-        );
-        match (first, second) {
-            (
-                Response::Fitting { query: Some(a), .. },
-                Response::Fitting { query: Some(b), .. },
-            ) => assert_eq!(a.display(), b.display()),
-            other => panic!("unexpected {other:?}"),
+        let mut questions = Vec::new();
+        for class in [QueryClass::Cq, QueryClass::Ucq] {
+            questions.push(Request::FittingExists {
+                workspace: "w".into(),
+                class,
+            });
+            for mode in [FitMode::Plain, FitMode::Minimized] {
+                questions.push(Request::Fit {
+                    workspace: "w".into(),
+                    class,
+                    mode,
+                });
+            }
         }
-        // A mutation invalidates the memo (revision changed).
-        add_text(&engine, "w", Polarity::Negative, "R(a,b)\nR(b,a)");
-        assert!(engine.handle(&fit).is_ok());
+        let (twice, once) = (fed(), fed());
+        for (asked, question) in (1..).zip(&questions) {
+            let first = twice.handle(question);
+            assert!(first.is_ok(), "{first:?}");
+            let first = serde::to_string(&first);
+            assert_eq!(serde::to_string(&twice.handle(question)), first);
+            assert_eq!(serde::to_string(&once.handle(question)), first);
+            assert_eq!(twice.registry().engine_fit_ns.count(), 2 * asked);
+            assert_eq!(once.registry().engine_fit_ns.count(), asked);
+        }
     }
 
     fn info_of(engine: &Engine, ws: &str) -> (usize, u64) {

@@ -4,11 +4,11 @@
 //! long-lived named **workspaces** hold evolving `(E⁺, E⁻)` example
 //! collections whose direct-product / most-specific-fitting state is
 //! maintained **incrementally** ([`cqfit::incremental`]) as examples are
-//! added and removed, and all homomorphism/core work is routed through a
-//! shared **canonical-hash keyed result cache**
-//! ([`cqfit_hom::HomCache`]), so repeated containment and core checks —
-//! across requests, workspaces and sessions — are hits instead of
-//! recomputes.
+//! added and removed, and every homomorphism-existence check is routed
+//! through a shared **canonical-hash keyed cache**
+//! ([`cqfit_hom::HomCache`]), so repeated containment checks — across
+//! requests, workspaces and sessions — are hits instead of searches.
+//! Answers themselves are computed afresh for every question.
 //!
 //! Two front ends share the same [`Request`]/[`Response`] protocol:
 //!
@@ -58,7 +58,6 @@ mod client;
 mod engine;
 mod protocol;
 mod server;
-mod workspace;
 
 pub use client::{Client, RetryPolicy, DEFAULT_CALL_TIMEOUT};
 pub use engine::{Engine, EngineConfig};
@@ -66,4 +65,3 @@ pub use protocol::{
     EngineStats, ExamplePayload, FitMode, FitQuery, Polarity, QueryClass, Request, Response,
 };
 pub use server::Server;
-pub use workspace::Workspace;

@@ -297,9 +297,8 @@ pub struct EngineStats {
     /// Total remembered identified mutations across all memo rings
     /// (each ring is capped at the pipeline window).
     pub memo_entries: u64,
-    /// Hom/core cache statistics.  An engine always reports them; the
-    /// wire keeps them optional (`"caching":false` when absent).
-    pub cache: Option<cqfit_hom::CacheStats>,
+    /// Hom-existence cache statistics.
+    pub cache: cqfit_hom::CacheStats,
     /// Store statistics (records, bytes, compactions), when a store is
     /// configured.
     pub store: Option<cqfit_store::StoreStats>,
@@ -656,7 +655,7 @@ fn zero_if_absent<'de, S: Source<'de>, T: Deserialize + Default>(
 }
 
 /// Engine statistics sit flat in the reply, the cache and store parts
-/// as nested objects present only when configured.
+/// as nested objects, the store's present only when configured.
 impl Field for EngineStats {
     fn put(&self, _: &'static str, o: &mut Object<'_>) {
         o.field("requests", &self.requests)
@@ -664,19 +663,14 @@ impl Field for EngineStats {
             .field("uptime_ms", &self.uptime_ms)
             .field("pipeline_window", &self.pipeline_window)
             .field("memo_workspaces", &self.memo_workspaces)
-            .field("memo_entries", &self.memo_entries)
-            .field("caching", &self.cache.is_some());
-        if let Some(c) = &self.cache {
-            json::write_object(o.key("cache"), |o| {
-                o.field("hom_hits", &c.hom_hits)
-                    .field("hom_misses", &c.hom_misses)
-                    .field("core_hits", &c.core_hits)
-                    .field("core_misses", &c.core_misses)
-                    .field("hom_entries", &c.hom_entries)
-                    .field("core_entries", &c.core_entries)
-                    .field("hit_rate", &c.hit_rate());
-            });
-        }
+            .field("memo_entries", &self.memo_entries);
+        let c = &self.cache;
+        json::write_object(o.key("cache"), |o| {
+            o.field("hom_hits", &c.hom_hits)
+                .field("hom_misses", &c.hom_misses)
+                .field("hom_entries", &c.hom_entries)
+                .field("hit_rate", &c.hit_rate());
+        });
         if let Some(s) = &self.store {
             json::write_object(o.key("store"), |o| {
                 o.field("workspaces", &s.workspaces)
@@ -690,15 +684,12 @@ impl Field for EngineStats {
     }
     fn take<'de, S: Source<'de>>(v: &mut S, _: &str) -> Result<Self, JsonError> {
         let cache = match v.get("cache") {
-            Some(mut c) => Some(cqfit_hom::CacheStats {
+            Some(mut c) => cqfit_hom::CacheStats {
                 hom_hits: u64::take(&mut c, "hom_hits")?,
                 hom_misses: u64::take(&mut c, "hom_misses")?,
-                core_hits: u64::take(&mut c, "core_hits")?,
-                core_misses: u64::take(&mut c, "core_misses")?,
                 hom_entries: usize::take(&mut c, "hom_entries")?,
-                core_entries: usize::take(&mut c, "core_entries")?,
-            }),
-            None => None,
+            },
+            None => cqfit_hom::CacheStats::default(),
         };
         let store = match v.get("store") {
             Some(mut s) => Some(cqfit_store::StoreStats {
@@ -1239,7 +1230,7 @@ mod tests {
                 pipeline_window: 32,
                 memo_workspaces: 1,
                 memo_entries: 7,
-                cache: None,
+                cache: cqfit_hom::CacheStats::default(),
                 store: Some(cqfit_store::StoreStats {
                     workspaces: 1,
                     records: 5,
@@ -1289,6 +1280,7 @@ mod tests {
                 assert_eq!(stats.pipeline_window, 0);
                 assert_eq!(stats.memo_workspaces, 0);
                 assert_eq!(stats.memo_entries, 0);
+                assert_eq!(stats.cache, cqfit_hom::CacheStats::default());
             }
             other => panic!("unexpected {other:?}"),
         }

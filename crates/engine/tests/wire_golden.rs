@@ -236,14 +236,11 @@ fn responses() -> Vec<(&'static str, Response)> {
                 pipeline_window: 32,
                 memo_workspaces: 1,
                 memo_entries: 7,
-                cache: Some(cqfit_hom::CacheStats {
+                cache: cqfit_hom::CacheStats {
                     hom_hits: 3,
                     hom_misses: 1,
-                    core_hits: 2,
-                    core_misses: 2,
                     hom_entries: 5,
-                    core_entries: 6,
-                }),
+                },
                 store: Some(cqfit_store::StoreStats {
                     workspaces: 2,
                     records: 5,

@@ -1,39 +1,37 @@
-//! A canonical-hash keyed result cache for homomorphism and core
-//! computations.
+//! A canonical-hash keyed cache of homomorphism-existence answers.
 //!
-//! Every fitting request decomposes into homomorphism existence checks and
-//! core minimizations, and interactive workloads (query-by-example
-//! sessions, repeated fittings over slowly-evolving example sets) re-ask
-//! the same checks over and over: the product of the positives against
-//! each negative, the cores of the same canonical examples, pairwise
-//! containment between the same disjuncts.  [`HomCache`] memoizes those
-//! answers across requests and sessions, keyed by the *canonical
-//! structural hashes* of the operands ([`cqfit_data::CanonicalHash`]), so
-//! a repeat of a check — even one built independently by another session —
-//! is a lookup instead of a search.
+//! Every fitting request decomposes into homomorphism existence checks,
+//! and interactive workloads (query-by-example sessions, repeated
+//! fittings over slowly-evolving example sets) re-ask the same checks
+//! over and over: each positive against each negative, the product of the
+//! positives against each negative, pairwise containment between the same
+//! disjuncts.  [`HomCache`] memoizes those answers across requests and
+//! sessions, keyed by the *canonical structural hashes* of the operands
+//! ([`cqfit_data::CanonicalHash`]), so a repeat of a check — even one built
+//! independently by another session — is a lookup instead of a search.
 //!
 //! Soundness: canonical hashes identify objects up to structural identity
 //! (same schema, same fact set over the same value indices, same
-//! distinguished tuple; labels excluded), and every cached answer is a
-//! function of exactly that structure.  Homomorphism existence is cached
-//! as a `bool` keyed by the (source, target) hash pair.  Cores are cached
-//! as whole [`Example`] values; because the *labels* of a core surface in
-//! constructed queries, the core key additionally absorbs the operand's
-//! labels, so label-different (but structurally equal) operands never
-//! exchange cores.
+//! distinguished tuple; labels excluded), and a hom-existence answer is a
+//! function of exactly that structure, so it is cached as a `bool` keyed by
+//! the (source, target) hash pair.
 //!
-//! Concurrency: the hom map is sharded (16 shards, picked by key bits)
-//! behind plain `Mutex`es — lookups and inserts hold a shard lock for a
-//! hash-map operation only, never during a search.  Batch entry points
-//! run their cache misses in order on the calling thread.
+//! Cores are not cached: no measured workload re-asks one.
+//! [`HomCache::core_of`] computes each core afresh and only counts the
+//! request on the registry (`core_misses`).
 //!
-//! Bounds: both maps stop inserting at a configurable entry cap (default
-//! 1M hom entries, 4096 cores) — a full cache keeps serving hits for the
-//! keys it holds and computes the rest, so long-running servers cannot be
-//! grown without bound by adversarial workloads.
+//! Concurrency: the map is sharded (16 shards, picked by key bits) behind
+//! plain `Mutex`es — lookups and inserts hold a shard lock for a hash-map
+//! operation only, never during a search.  Batch entry points run their
+//! cache misses in order on the calling thread.
+//!
+//! Bounds: the map stops inserting at 1M entries — a full cache keeps
+//! serving hits for the keys it holds and computes the rest, so
+//! long-running servers cannot be grown without bound by adversarial
+//! workloads.
 
 use crate::search::hom_exists;
-use cqfit_data::{CanonicalHash, CanonicalHasher, Example};
+use cqfit_data::{CanonicalHash, Example};
 use cqfit_obs::Registry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -41,7 +39,12 @@ use std::sync::{Arc, Mutex};
 /// Number of shards of the hom-existence map (power of two).
 const SHARDS: usize = 16;
 
-/// Statistics of a [`HomCache`], all monotone counters plus current sizes.
+/// Entry cap of one shard: 1M entries in all (~50 MB worst case of keys).
+const SHARD_ENTRIES: usize = (1 << 20) / SHARDS;
+
+type HomKey = (CanonicalHash, CanonicalHash);
+
+/// Statistics of a [`HomCache`]: monotone counters plus the current size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Hom-existence lookups answered from the cache.
@@ -51,41 +54,31 @@ pub struct CacheStats {
     /// after the first hit of [`HomCache::any_hom_exists`] are not
     /// counted — no search ran for them.
     pub hom_misses: u64,
-    /// Core lookups answered from the cache.
-    pub core_hits: u64,
-    /// Core lookups that required a minimization.
-    pub core_misses: u64,
     /// Current number of cached hom-existence answers.
     pub hom_entries: usize,
-    /// Current number of cached cores.
-    pub core_entries: usize,
 }
 
 impl CacheStats {
-    /// Overall hit rate (hom + core) in `[0, 1]`; 0 when nothing was asked.
+    /// Hit rate in `[0, 1]`; 0 when nothing was asked.
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.hom_hits + self.core_hits;
-        let total = hits + self.hom_misses + self.core_misses;
+        let total = self.hom_hits + self.hom_misses;
         if total == 0 {
             0.0
         } else {
-            hits as f64 / total as f64
+            self.hom_hits as f64 / total as f64
         }
     }
 }
 
 /// A concurrent, canonical-hash keyed cache of homomorphism-existence
-/// answers and cores.  See the module documentation for keying, soundness
-/// and bounds.
+/// answers.  See the module documentation for keying, soundness and
+/// bounds.
 pub struct HomCache {
-    hom_shards: Vec<Mutex<HashMap<(CanonicalHash, CanonicalHash), bool>>>,
-    cores: Mutex<HashMap<CanonicalHash, Arc<Example>>>,
+    hom_shards: Vec<Mutex<HashMap<HomKey, bool>>>,
     // Hit/miss counters live on the shared `cqfit-obs` registry (the
     // engine passes its own so cache traffic lands in the process-wide
     // snapshot); a standalone cache gets a fresh private registry.
     registry: Arc<Registry>,
-    max_hom_entries: usize,
-    max_core_entries: usize,
 }
 
 impl std::fmt::Debug for HomCache {
@@ -104,29 +97,17 @@ impl Default for HomCache {
 }
 
 impl HomCache {
-    /// Default capacity caps: 1M hom answers (~50 MB worst case of keys),
-    /// 4096 cores.
+    /// An empty cache counting on a private registry.
     pub fn new() -> Self {
-        HomCache::with_limits(1 << 20, 4096)
+        HomCache::with_registry(Arc::new(Registry::new()))
     }
 
-    /// A cache with the default caps whose hit/miss counters land on the
-    /// given shared metrics registry instead of a private one.
+    /// An empty cache whose hit/miss counters land on the given shared
+    /// metrics registry.
     pub fn with_registry(registry: Arc<Registry>) -> Self {
-        let mut cache = HomCache::new();
-        cache.registry = registry;
-        cache
-    }
-
-    /// A cache with explicit entry caps; inserts beyond a cap are dropped
-    /// (the cache keeps serving hits for the entries it holds).
-    pub fn with_limits(max_hom_entries: usize, max_core_entries: usize) -> Self {
         HomCache {
             hom_shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            cores: Mutex::new(HashMap::new()),
-            registry: Arc::new(Registry::new()),
-            max_hom_entries,
-            max_core_entries,
+            registry,
         }
     }
 
@@ -135,16 +116,13 @@ impl HomCache {
         &self.registry
     }
 
-    fn shard(
-        &self,
-        key: &(CanonicalHash, CanonicalHash),
-    ) -> &Mutex<HashMap<(CanonicalHash, CanonicalHash), bool>> {
+    fn shard(&self, key: &HomKey) -> &Mutex<HashMap<HomKey, bool>> {
         let idx = (key.0 .0 ^ key.1 .0.rotate_left(1)) as usize & (SHARDS - 1);
         &self.hom_shards[idx]
     }
 
     /// Reads the cached answer for a key without touching any counter.
-    fn peek_hom(&self, key: &(CanonicalHash, CanonicalHash)) -> Option<bool> {
+    fn peek_hom(&self, key: &HomKey) -> Option<bool> {
         self.shard(key)
             .lock()
             .expect("cache shard")
@@ -152,25 +130,16 @@ impl HomCache {
             .copied()
     }
 
-    fn note_hit(&self) {
-        self.registry.hom_hits.inc();
-    }
-
-    fn note_miss(&self) {
+    /// Searches for `src → dst`, counting a miss and caching the answer
+    /// while the key's shard has room.
+    fn search(&self, key: HomKey, src: &Example, dst: &Example) -> bool {
         self.registry.hom_misses.inc();
-    }
-
-    fn insert_hom(&self, key: (CanonicalHash, CanonicalHash), answer: bool) {
-        // Per-shard share of the total cap, rounded *up*: a small but
-        // non-zero cap must still cache (flooring would turn caps below
-        // the shard count into a silently disabled cache).  The total is
-        // therefore approximate — at most `SHARDS - 1` entries above the
-        // configured cap.
-        let per_shard = self.max_hom_entries.div_ceil(SHARDS);
+        let answer = hom_exists(src, dst);
         let mut shard = self.shard(&key).lock().expect("cache shard");
-        if shard.len() < per_shard {
+        if shard.len() < SHARD_ENTRIES {
             shard.insert(key, answer);
         }
+        answer
     }
 
     /// Cached [`hom_exists`]: is there a homomorphism `src → dst`?
@@ -180,39 +149,10 @@ impl HomCache {
     pub fn hom_exists(&self, src: &Example, dst: &Example) -> bool {
         let key = (src.canonical_hash(), dst.canonical_hash());
         if let Some(answer) = self.peek_hom(&key) {
-            self.note_hit();
+            self.registry.hom_hits.inc();
             return answer;
         }
-        self.note_miss();
-        let answer = hom_exists(src, dst);
-        self.insert_hom(key, answer);
-        answer
-    }
-
-    /// Cached batch of [`hom_exists`] checks: answers every pair, serving
-    /// repeats from the cache.  Duplicate uncached pairs within the batch
-    /// are searched once and share the answer.  Returns exactly what
-    /// `pairs.iter().map(|(s, d)| hom_exists(s, d))` would.
-    pub fn hom_exists_batch(&self, pairs: &[(&Example, &Example)]) -> Vec<bool> {
-        let mut searched: HashMap<(CanonicalHash, CanonicalHash), bool> = HashMap::new();
-        pairs
-            .iter()
-            .map(|&(s, d)| {
-                let key = (s.canonical_hash(), d.canonical_hash());
-                if let Some(&answer) = searched.get(&key) {
-                    return answer;
-                }
-                if let Some(answer) = self.peek_hom(&key) {
-                    self.note_hit();
-                    return answer;
-                }
-                self.note_miss();
-                let answer = hom_exists(s, d);
-                self.insert_hom(key, answer);
-                searched.insert(key, answer);
-                answer
-            })
-            .collect()
+        self.search(key, src, dst)
     }
 
     /// Cached `pairs.iter().any(|(s, d)| hom_exists(s, d))`.  Cached
@@ -221,16 +161,16 @@ impl HomCache {
     /// first hit (pairs after it run no search, are not cached, and are
     /// not counted as misses).
     pub fn any_hom_exists(&self, pairs: &[(&Example, &Example)]) -> bool {
-        let mut seen: HashSet<(CanonicalHash, CanonicalHash)> = HashSet::new();
+        let mut seen: HashSet<HomKey> = HashSet::new();
         let mut uncached = Vec::new();
         for &(s, d) in pairs {
             let key = (s.canonical_hash(), d.canonical_hash());
             match self.peek_hom(&key) {
                 Some(true) => {
-                    self.note_hit();
+                    self.registry.hom_hits.inc();
                     return true;
                 }
-                Some(false) => self.note_hit(),
+                Some(false) => self.registry.hom_hits.inc(),
                 None => {
                     if seen.insert(key) {
                         uncached.push((s, d, key));
@@ -238,72 +178,30 @@ impl HomCache {
                 }
             }
         }
-        uncached.into_iter().any(|(s, d, key)| {
-            self.note_miss();
-            let answer = hom_exists(s, d);
-            self.insert_hom(key, answer);
-            answer
-        })
+        uncached
+            .into_iter()
+            .any(|(s, d, key)| self.search(key, s, d))
     }
 
-    /// Cached [`crate::core_of`]: the core of a pointed instance.
-    ///
-    /// The key absorbs the operand's labels on top of its structural hash,
-    /// because the returned example's labels surface in constructed
-    /// queries; see the module documentation.
+    /// [`crate::core_of`], counted as one `core_misses` on the registry.
     pub fn core_of(&self, e: &Example) -> Arc<Example> {
-        let key = labeled_key(e);
-        // Entries are Arc'd so both the hit path and the insert path hold
-        // the lock only for a map operation plus a refcount bump — never
-        // for a deep clone of a potentially large instance.
-        if let Some(core) = self.cores.lock().expect("core cache").get(&key) {
-            self.registry.core_hits.inc();
-            return Arc::clone(core);
-        }
         self.registry.core_misses.inc();
-        let core = Arc::new(crate::core_of(e));
-        let mut cores = self.cores.lock().expect("core cache");
-        if cores.len() < self.max_core_entries {
-            cores.insert(key, Arc::clone(&core));
-        }
-        core
+        Arc::new(crate::core_of(e))
     }
 
     /// Current statistics, assembled as a view over the registry counters
-    /// plus the live map sizes.
+    /// plus the live map size.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hom_hits: self.registry.hom_hits.get(),
             hom_misses: self.registry.hom_misses.get(),
-            core_hits: self.registry.core_hits.get(),
-            core_misses: self.registry.core_misses.get(),
             hom_entries: self
                 .hom_shards
                 .iter()
                 .map(|s| s.lock().expect("cache shard").len())
                 .sum(),
-            core_entries: self.cores.lock().expect("core cache").len(),
         }
     }
-
-    /// Drops every cached entry (statistics counters are kept).
-    pub fn clear(&self) {
-        for shard in &self.hom_shards {
-            shard.lock().expect("cache shard").clear();
-        }
-        self.cores.lock().expect("core cache").clear();
-    }
-}
-
-/// Structural hash plus labels: the key of the core cache.
-fn labeled_key(e: &Example) -> CanonicalHash {
-    let mut h = CanonicalHasher::new();
-    h.absorb_hash(e.canonical_hash());
-    let inst = e.instance();
-    for v in inst.values() {
-        h.absorb_str(inst.label(v));
-    }
-    h.finish()
 }
 
 #[cfg(test)]
@@ -339,15 +237,14 @@ mod tests {
     #[test]
     fn batch_serves_repeats_from_cache() {
         let cache = HomCache::new();
-        let srcs: Vec<Example> = (3..9).map(cycle).collect();
+        // Odd cycles: none maps into C2, so every pair is searched.
+        let srcs: Vec<Example> = [3, 5, 7, 9].into_iter().map(cycle).collect();
         let c2 = cycle(2);
         let pairs: Vec<(&Example, &Example)> = srcs.iter().map(|s| (s, &c2)).collect();
-        let first = cache.hom_exists_batch(&pairs);
-        let expected: Vec<bool> = pairs.iter().map(|(s, d)| hom_exists(s, d)).collect();
-        assert_eq!(first, expected);
+        assert!(!cache.any_hom_exists(&pairs));
         let before = cache.stats();
-        let second = cache.hom_exists_batch(&pairs);
-        assert_eq!(second, expected);
+        assert_eq!(before.hom_misses, pairs.len() as u64);
+        assert!(!cache.any_hom_exists(&pairs));
         let after = cache.stats();
         assert_eq!(after.hom_hits - before.hom_hits, pairs.len() as u64);
         assert_eq!(after.hom_misses, before.hom_misses);
@@ -359,15 +256,10 @@ mod tests {
         let (c3, c2) = (cycle(3), cycle(2));
         // Structurally identical pairs repeated five times: one search.
         let pairs: Vec<(&Example, &Example)> = (0..5).map(|_| (&c3, &c2)).collect();
-        let answers = cache.hom_exists_batch(&pairs);
-        assert_eq!(answers, vec![false; 5]);
+        assert!(!cache.any_hom_exists(&pairs));
         let stats = cache.stats();
         assert_eq!(stats.hom_misses, 1, "one search for five duplicate pairs");
         assert_eq!(stats.hom_hits, 0);
-        // Any-variant dedups too.
-        let cache2 = HomCache::new();
-        assert!(!cache2.any_hom_exists(&pairs));
-        assert_eq!(cache2.stats().hom_misses, 1);
     }
 
     #[test]
@@ -387,8 +279,7 @@ mod tests {
     #[test]
     fn cached_core_is_the_core() {
         let cache = HomCache::new();
-        // C6 cores to C3? No — C6 is a core... use a foldable shape: two
-        // disjoint copies of C3 core to one C3.
+        // Two disjoint copies of C3 core to one C3.
         let mut i = Instance::new(Schema::digraph());
         for copy in 0..2 {
             let vs = i.add_values(&format!("a{copy}_"), 3);
@@ -397,17 +288,17 @@ mod tests {
             }
         }
         let e = Example::boolean(i);
-        let cold = cache.core_of(&e);
+        let first = cache.core_of(&e);
         assert_eq!(
-            cold.instance().num_values(),
+            first.instance().num_values(),
             core_of(&e).instance().num_values()
         );
-        assert!(hom_equivalent(&cold, &e));
-        let warm = cache.core_of(&e);
-        assert!(warm.instance().same_facts(cold.instance()));
-        let stats = cache.stats();
-        assert_eq!(stats.core_hits, 1);
-        assert_eq!(stats.core_misses, 1);
+        assert!(hom_equivalent(&first, &e));
+        let again = cache.core_of(&e);
+        assert!(again.instance().same_facts(first.instance()));
+        // Every core request is computed and counted.
+        assert_eq!(cache.registry().core_misses.get(), 2);
+        assert_eq!(cache.registry().core_hits.get(), 0);
     }
 
     #[test]
@@ -430,33 +321,20 @@ mod tests {
 
     #[test]
     fn capacity_cap_stops_inserts_but_not_answers() {
-        let cache = HomCache::with_limits(0, 0);
+        let cache = HomCache::new();
         let (c3, c2) = (cycle(3), cycle(2));
+        let key = (c3.canonical_hash(), c2.canonical_hash());
+        // Fill the key's shard to its cap with keys no example has.
+        {
+            let mut shard = cache.shard(&key).lock().unwrap();
+            for k in 0..SHARD_ENTRIES as u128 {
+                shard.insert((CanonicalHash(k), CanonicalHash(k)), true);
+            }
+        }
         assert!(!cache.hom_exists(&c3, &c2));
         assert!(!cache.hom_exists(&c3, &c2));
         let stats = cache.stats();
-        assert_eq!(stats.hom_entries, 0);
-        assert_eq!(stats.hom_misses, 2);
-        let core = cache.core_of(&c3);
-        assert!(hom_equivalent(&core, &c3));
-        assert_eq!(cache.stats().core_entries, 0);
-        // A small but non-zero cap still caches (the per-shard share is
-        // rounded up, not floored to zero).
-        let small = HomCache::with_limits(1, 1);
-        assert!(!small.hom_exists(&c3, &c2));
-        assert!(small.stats().hom_entries > 0);
-        assert!(!small.hom_exists(&c3, &c2));
-        assert_eq!(small.stats().hom_hits, 1);
-    }
-
-    #[test]
-    fn clear_empties_the_maps() {
-        let cache = HomCache::new();
-        let (c4, c2) = (cycle(4), cycle(2));
-        assert!(cache.hom_exists(&c4, &c2));
-        assert!(cache.stats().hom_entries > 0);
-        cache.clear();
-        assert_eq!(cache.stats().hom_entries, 0);
-        assert!(cache.hom_exists(&c4, &c2), "still answers after clear");
+        assert_eq!(stats.hom_entries, SHARD_ENTRIES);
+        assert_eq!((stats.hom_hits, stats.hom_misses), (0, 2));
     }
 }

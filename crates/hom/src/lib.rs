@@ -11,9 +11,9 @@
 //! * least upper bounds (disjoint unions, Proposition 2.2) and greatest lower
 //!   bounds (direct products, Proposition 2.7) in the homomorphism pre-order,
 //! * simulations and the simulation pre-order over binary schemas (Section 5),
-//! * a canonical-hash keyed result cache for hom-existence and core
-//!   computations ([`HomCache`]), shared across requests by the
-//!   `cqfit-engine` fitting service.
+//! * a canonical-hash keyed cache of hom-existence answers
+//!   ([`HomCache`]), shared across requests by the `cqfit-engine` fitting
+//!   service.
 //!
 //! All operations act on [`cqfit_data::Example`] values (pointed instances);
 //! plain instances are treated as Boolean examples.

@@ -355,7 +355,8 @@ pub struct Registry {
     // -- engine --
     /// Requests handled (including batch members).
     pub engine_requests: Counter,
-    /// Per-op fitting-computation latency (memo hits record nothing).
+    /// Fitting-computation latency: one sample per answered question
+    /// (a question that fails records nothing).
     pub engine_fit_ns: Histogram,
     /// Identified mutations answered from the idempotency memo.
     pub engine_memo_replays: Counter,
@@ -363,9 +364,10 @@ pub struct Registry {
     pub hom_hits: Counter,
     /// Homomorphism-cache misses.
     pub hom_misses: Counter,
-    /// Core-cache hits.
+    /// Core-cache hits.  No cache serves cores, so this stays 0; it is
+    /// kept for the readers of the snapshot that still sum it.
     pub core_hits: Counter,
-    /// Core-cache misses.
+    /// Cores computed through `HomCache::core_of`.
     pub core_misses: Counter,
 
     // -- server --

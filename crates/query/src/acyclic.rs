@@ -26,11 +26,6 @@ impl IncidenceGraph {
         IncidenceGraph { occurrence_count }
     }
 
-    /// The degree (number of occurrences) of a value.
-    pub fn value_degree(&self, v: Value) -> usize {
-        self.occurrence_count[v.index()]
-    }
-
     /// The maximum degree over all values.
     pub fn max_value_degree(&self) -> usize {
         self.occurrence_count.iter().copied().max().unwrap_or(0)

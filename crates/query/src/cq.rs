@@ -2,7 +2,7 @@
 
 use crate::{QueryError, Result};
 use cqfit_data::{Example, Instance, RelId, Schema, Value};
-use cqfit_hom::{find_all_homomorphisms, find_homomorphism, hom_exists};
+use cqfit_hom::{find_all_homomorphisms, hom_exists};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -336,11 +336,6 @@ impl Cq {
     pub fn num_connected_components(&self) -> usize {
         self.canonical_example().connected_components().len()
     }
-
-    /// A homomorphism witnessing `self → other`, if one exists.
-    pub fn homomorphism_to(&self, other: &Cq) -> Option<cqfit_hom::Homomorphism> {
-        find_homomorphism(&self.canonical_example(), &other.canonical_example())
-    }
 }
 
 impl fmt::Display for Cq {
@@ -399,13 +394,6 @@ impl CqBuilder {
     /// Declares the answer variables (in order, possibly with repetitions).
     pub fn answer(&mut self, vars: &[Variable]) -> &mut Self {
         self.answer_vars = vars.to_vec();
-        self
-    }
-
-    /// Declares the answer variables by name.
-    pub fn answer_named(&mut self, names: &[&str]) -> &mut Self {
-        let vars: Vec<Variable> = names.iter().map(|n| self.var(*n)).collect();
-        self.answer_vars = vars;
         self
     }
 

@@ -131,10 +131,10 @@ impl Ucq {
     /// [`Ucq::minimized`] with the core computations and the pairwise
     /// containment checks routed through a [`cqfit_hom::HomCache`] when
     /// one is given (`None` behaves exactly like `minimized`).  Used by
-    /// the incremental fitting path so that repeated minimizations across
-    /// requests and sessions are cache hits; there is exactly one copy of
-    /// the pruning logic (including the equivalence tie-break) for the
-    /// cached and uncached paths.
+    /// the incremental fitting path so that repeated containment checks
+    /// across requests and sessions are cache hits; there is exactly one
+    /// copy of the pruning logic (including the equivalence tie-break) for
+    /// the cached and uncached paths.
     pub fn minimized_with(&self, cache: Option<&cqfit_hom::HomCache>) -> Ucq {
         let disjuncts: Vec<Cq> = self
             .disjuncts

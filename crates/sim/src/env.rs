@@ -62,12 +62,6 @@ impl SimEnv {
         self
     }
 
-    /// The underlying simulated filesystem (for crash images and fault
-    /// counters; the `Env` trait only exposes it as a `&dyn Fs`).
-    pub fn sim_fs(&self) -> &Arc<SimFs> {
-        &self.fs
-    }
-
     /// The simulated clock as a shareable handle (for building a
     /// [`SimNet`] over it, or advancing time from a test).
     pub fn clock_handle(&self) -> Arc<ManualClock> {

@@ -56,7 +56,7 @@
 //!   (`cqfit-obs`, threaded through store, engine, server, and client)
 //!   must *count reality*: a fault-free durable churn run's acked-append
 //!   counter must equal the oracle's acknowledged logged mutations, its
-//!   engine-level counters (computed fits, hom/core cache hits) must
+//!   engine-level counters (computed fits, hom-cache hits, cores) must
 //!   byte-match a storeless oracle's, compaction events must agree with
 //!   the compaction counter, and — over the simulated wire — a fault-free
 //!   session must report zero retries while every injected cut that
@@ -327,8 +327,14 @@ fn churn_mutations(ws: &str, seed: u64, steps: usize) -> Vec<Request> {
 /// last: its `product_fresh` flag only converges once a fitting question
 /// has forced the lazy product rebuild on both sides.  The `Plain` CQ
 /// fit serializes the canonical CQ of the maintained product, so byte
-/// equality certifies product equivalence.
-fn questions(ws: &str) -> [Request; 4] {
+/// equality certifies product equivalence; the `Minimized` fits pin the
+/// cores each side computes afresh.
+fn questions(ws: &str) -> [Request; 6] {
+    let fit = |class, mode| Request::Fit {
+        workspace: ws.into(),
+        class,
+        mode,
+    };
     [
         Request::FittingExists {
             workspace: ws.into(),
@@ -338,11 +344,9 @@ fn questions(ws: &str) -> [Request; 4] {
             workspace: ws.into(),
             class: QueryClass::Ucq,
         },
-        Request::Fit {
-            workspace: ws.into(),
-            class: QueryClass::Cq,
-            mode: FitMode::Plain,
-        },
+        fit(QueryClass::Cq, FitMode::Plain),
+        fit(QueryClass::Cq, FitMode::Minimized),
+        fit(QueryClass::Ucq, FitMode::Minimized),
         Request::WorkspaceInfo {
             workspace: ws.into(),
         },
@@ -2365,11 +2369,11 @@ mod tests {
         assert!(stats.group_batches >= 1, "stats: {stats:?}");
         assert!(stats.group_boundary_cuts >= 2, "stats: {stats:?}");
         assert!(stats.group_mid_cuts >= 1, "stats: {stats:?}");
-        // Phase N: create + 3 churn + 4 questions + shutdown = 9 calls =
-        // 18 frames → 18 boundary cuts + the cut-before-the-first-byte,
+        // Phase N: create + 3 churn + 6 questions + shutdown = 11 calls =
+        // 22 frames → 22 boundary cuts + the cut-before-the-first-byte,
         // ≥1 mid-frame cut per frame, plus the two baselines.
-        assert_eq!(stats.net_boundary_cuts, 19, "stats: {stats:?}");
-        assert!(stats.net_mid_frame_cuts >= 18, "stats: {stats:?}");
+        assert_eq!(stats.net_boundary_cuts, 23, "stats: {stats:?}");
+        assert!(stats.net_mid_frame_cuts >= 22, "stats: {stats:?}");
         assert_eq!(
             stats.net_executions,
             2 + stats.net_boundary_cuts + stats.net_mid_frame_cuts,
@@ -2377,9 +2381,9 @@ mod tests {
         );
         // Phase N pipelined sub-sweep: the burst collapses the client
         // side to two frames (batch + shutdown) but the server still
-        // answers frame-by-frame, so there are ≥ 11 marks to cut at
+        // answers frame-by-frame, so there are ≥ 13 marks to cut at
         // (plus mid-frame cuts and the cut-before-the-first-byte).
-        assert!(stats.net_pipelined_cuts >= 12, "stats: {stats:?}");
+        assert!(stats.net_pipelined_cuts >= 14, "stats: {stats:?}");
         assert_eq!(
             stats.net_pipelined_executions,
             1 + stats.net_pipelined_cuts,
@@ -2414,7 +2418,7 @@ mod tests {
     /// re-executing it.  Cutting the pipelined conversation at its first
     /// completed write catches the burst with a one-request prefix
     /// applied: the whole-batch replay answers that create from the memo
-    /// and re-executes the seven requests the cut discarded.
+    /// and re-executes the nine requests the cut discarded.
     #[test]
     fn seeded_wire_cut_reports_exact_retry_and_replay_counters() {
         let cfg = SimConfig {
@@ -2426,12 +2430,12 @@ mod tests {
         };
         let seed = 0xC0FFEE;
         let script = phase_n_script(seed, &cfg);
-        assert_eq!(script.len(), 8, "create + 3 churn + 4 questions");
+        assert_eq!(script.len(), 10, "create + 3 churn + 6 questions");
 
         let baseline = phase_n_session(seed, &script, None, false).expect("baseline");
         assert_eq!(baseline.client_counters, (0, 0, 0));
         let registry = baseline.engine.registry();
-        assert_eq!(registry.engine_requests.get(), 9, "script + shutdown");
+        assert_eq!(registry.engine_requests.get(), 11, "script + shutdown");
         assert_eq!(registry.engine_memo_replays.get(), 0);
 
         // marks[4] is the end of the 5th frame — the third request
@@ -2450,7 +2454,7 @@ mod tests {
             1,
             "the lost reply replayed"
         );
-        assert_eq!(registry.engine_requests.get(), 9, "nothing re-executed");
+        assert_eq!(registry.engine_requests.get(), 11, "nothing re-executed");
 
         let pipelined = phase_n_session(seed, &script, None, true).expect("pipelined");
         assert_eq!(pipelined.client_counters, (0, 0, 0));
@@ -2466,8 +2470,8 @@ mod tests {
         );
         assert_eq!(
             registry.engine_requests.get(),
-            9,
-            "1 applied + 7 replayed-and-executed + the shutdown"
+            11,
+            "1 applied + 9 replayed-and-executed + the shutdown"
         );
     }
 

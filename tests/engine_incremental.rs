@@ -252,7 +252,7 @@ fn cached_and_uncached_agree() {
     }
     // The shared cache must have seen real traffic.
     let stats = cache.stats();
-    assert!(stats.hom_hits + stats.hom_misses + stats.core_misses > 0);
+    assert!(stats.hom_hits + stats.hom_misses > 0);
 }
 
 /// Interleaving removals with re-adds of the *same* example must behave
